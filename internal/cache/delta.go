@@ -133,7 +133,7 @@ func (s *Steady) DeltaTraceBegin() {
 func (s *Steady) DeltaTraceEnd() bool {
 	d := &s.dl
 	d.tracing = false
-	d.traced = d.ok && s.mode == steadyIdle && !s.sw.echoing &&
+	d.traced = d.ok && s.mode == steadyIdle &&
 		d.starts > 0 && d.starts == len(d.refs)
 	d.diag.Traced = d.traced
 	return d.traced
@@ -196,7 +196,7 @@ const deltaPinBudget = 64
 // sweeps (engine idle) after a successful DeltaTraceEnd.
 func (s *Steady) ReplayDeltaSweep() bool {
 	d := &s.dl
-	if !d.traced || s.mode != steadyIdle || s.sw.echoing || s.sw.inPhase {
+	if !d.traced || s.mode != steadyIdle {
 		return false
 	}
 	if !s.deltaRefsValid() {
@@ -479,7 +479,7 @@ func (s *Steady) SeedDelta(dn *DeltaDonor) bool {
 	if dn == nil || len(dn.recs) == 0 || len(dn.recs) > steadyHistory {
 		return false
 	}
-	if s.mode != steadyIdle || s.nAnchors != 0 || s.histSeq != 0 || s.sw.recording || s.sw.echoing {
+	if s.mode != steadyIdle || s.nAnchors != 0 || s.histSeq != 0 {
 		return false
 	}
 	if len(dn.sets) != len(s.levels) {

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Steady-state plane-cycle detection. The paper's kernels traverse the
 // grid one plane (or tile-row) at a time, and after the startup planes
@@ -132,17 +129,11 @@ type steadyAnchor struct {
 }
 
 // steadyPat is one recorded phase unit: the anchor its runs are a
-// translate of, its per-level stats delta, and (when footprint scoping
-// is active) the per-level set footprint of its stream.
+// translate of and its per-level stats delta.
 type steadyPat struct {
 	unit   int
 	anchor int
 	delta  []Stats
-	// foot[li] is the set footprint of this unit's stream on scoped
-	// level li (nil for unscoped levels); footValid guards reuse of a
-	// ring slot whose masks belong to an older phase.
-	foot      []footMask
-	footValid bool
 }
 
 // steadySnap is a normalized state snapshot taken after one unit.
@@ -156,11 +147,6 @@ type steadySnap struct {
 	// not value. Invalid slots encode as steadyInvalidEnc.
 	data [][]int64
 	cum  []Stats
-	// mask[li], when non-nil, marks which normalized sets of data[li]
-	// were actually encoded (footprint-scoped snapshot); positions
-	// outside it hold stale garbage and must not be compared. nil means
-	// every slot of the level was encoded.
-	mask []footMask
 }
 
 // steadyPin is an order-normalized encoding of the full cache state at
@@ -212,12 +198,6 @@ type Steady struct {
 	// than they save). Zero means the total slot count; negative
 	// disables the gate.
 	MinUnitAccesses int64
-	// DisableFootprints forces whole-state fingerprints everywhere
-	// (footprint scoping off); DisableSweepEcho turns the sweep-scope
-	// recorder/echo layer off. Both are diagnostic knobs: results are
-	// bit-identical either way, only the cost profile changes.
-	DisableFootprints bool
-	DisableSweepEcho  bool
 
 	mode    steadyMode
 	unit    int
@@ -227,29 +207,9 @@ type Steady struct {
 	t0      int
 	aViable bool // plane-cycle detection possible for this phase
 
-	// Footprint scoping (footprint.go): on direct-mapped levels the
-	// phase fingerprint is restricted to the sets the phase stream
-	// actually touches, with untouched sets certified by a shift
-	// consistency check at confirm time. scoped marks the levels where
-	// that is sound (direct-mapped, maskable set count); footOK says
-	// the current phase is accumulating footprints; pinsOK gates the
-	// O(slots) echo pins, which per-tile phases cannot amortize.
-	scoped     []bool
-	anyScoped  bool
-	footOK     bool
-	footForce  bool // tests only: scope even when full snapshots are affordable
-	pinsOK     bool
-	curFoot    []footMask // per level: footprint of the unit in progress
-	cumFoot    []footMask // per level: union over the phase so far
-	footW      []footMask // scratch: window footprint (absolute sets)
-	footW1     []footMask // scratch: window in normalized space
-	footG      []footMask // scratch: snapshot prediction region (absolute)
-	footGN     []footMask // scratch: prediction region, normalized
-	footA      []footMask // scratch: rotating window for region walks
-	footB      []footMask // scratch: rotation target
-	skipFoot   []footMask // per level: confirmed cycle's window
-	skipScoped []bool     // per level: skipFoot valid (else full translate)
-	lastA      []int32    // scratch: per-set last covering period
+	// pinsOK gates the O(slots) echo pins, which per-tile phases cannot
+	// amortize.
+	pinsOK bool
 	// refusedShapes counts budget-gate refusals per phase shape so a
 	// repeated sweep of a refused phase records for cross-phase echo.
 	refusedShapes map[[3]int64]uint8
@@ -299,11 +259,6 @@ type Steady struct {
 	scratchStamp []uint64
 	wayStamp     []uint64
 
-	// sw is the sweep-scope echo layer (sweepecho.go): it taps every
-	// batch and marker ahead of the phase machinery and can verify and
-	// commit whole repeated sweeps at a time.
-	sw sweepState
-
 	// dl is the cross-point delta layer (delta.go): while tracing it
 	// notes, per phase of a warm sweep, which history record reproduces
 	// the phase, so later identical sweeps — in this engine or in a
@@ -311,10 +266,9 @@ type Steady struct {
 	// records instead of the walker.
 	dl deltaState
 
-	skipped     uint64
-	cycles      uint64
-	echoes      uint64
-	sweepEchoes uint64
+	skipped uint64
+	cycles  uint64
+	echoes  uint64
 }
 
 // maxUnitRuns bounds the recorded pattern of a single unit; a phase
@@ -368,40 +322,34 @@ func newSteady(raw RunSink, levels []*Cache) *Steady {
 	}
 	s.baseline = make([]Stats, len(levels))
 	s.cycleStats = make([]Stats, len(levels))
-	s.scoped = make([]bool, len(levels))
-	s.skipFoot = make([]footMask, len(levels))
-	s.skipScoped = make([]bool, len(levels))
-	for i, c := range levels {
-		if c.assoc == 1 && maskableSets(c.sets) {
-			s.scoped[i] = true
-			s.anyScoped = true
-		}
-	}
 	return s
 }
 
 // SteadyDiag classifies how the engine handled the phases it saw:
-// confirmed plane cycles (with the footprint-scoped subset), completed
-// echoes, and refusals by cause. Refusal counters are per phase; a
-// phase can both refuse detection (RefusedT0) and later echo.
+// confirmed plane cycles, completed echoes, and refusals by cause.
+// Refusal counters are per phase; a phase can both refuse detection
+// (RefusedT0) and later echo.
 type SteadyDiag struct {
-	Phases         uint64 // phases reaching the first marker
-	Confirmed      uint64 // plane cycles confirmed
-	ScopedConfirms uint64 // confirms using footprint scoping on some level
+	Phases    uint64 // phases reaching the first marker
+	Confirmed uint64 // plane cycles confirmed
+	// ScopedConfirms and SweepEchoes are always 0: the footprint-scoped
+	// confirms and whole-sweep echoes they counted are no longer engine
+	// layers. The fields remain so readers of them (the perfbench probe)
+	// keep compiling.
+	ScopedConfirms uint64
 	Echoes         uint64 // phases completed by cross-phase echo
-	SweepEchoes    uint64 // whole sweeps completed by sweep-scope echo
+	SweepEchoes    uint64
 	RefusedDelta   uint64 // no uniform translation (Δ=0/mixed) or <2 units
 	RefusedBudget  uint64 // unit work too small to amortize detection
 	RefusedT0      uint64 // alignment factor t0 exceeds MaxPeriod
 	RefusedShort   uint64 // too few units for the alignment factor
-	FootRefused    uint64 // footprint coverage/shift check rejected a candidate
 }
 
 // String renders the counters compactly for -v diagnostics.
 func (d SteadyDiag) String() string {
-	return fmt.Sprintf("phases=%d confirmed=%d(scoped=%d) echoes=%d sweeps=%d refused[delta=%d budget=%d t0=%d short=%d foot=%d]",
-		d.Phases, d.Confirmed, d.ScopedConfirms, d.Echoes, d.SweepEchoes,
-		d.RefusedDelta, d.RefusedBudget, d.RefusedT0, d.RefusedShort, d.FootRefused)
+	return fmt.Sprintf("phases=%d confirmed=%d echoes=%d refused[delta=%d budget=%d t0=%d short=%d]",
+		d.Phases, d.Confirmed, d.Echoes,
+		d.RefusedDelta, d.RefusedBudget, d.RefusedT0, d.RefusedShort)
 }
 
 // Diag returns the phase-handling counters.
@@ -409,7 +357,6 @@ func (s *Steady) Diag() SteadyDiag {
 	d := s.diag
 	d.Confirmed = s.cycles
 	d.Echoes = s.echoes
-	d.SweepEchoes = s.sweepEchoes
 	return d
 }
 
@@ -423,19 +370,8 @@ func (s *Steady) Cycles() uint64 { return s.cycles }
 // Echoes returns the number of phases completed by cross-phase echo.
 func (s *Steady) Echoes() uint64 { return s.echoes }
 
-// SweepEchoes returns the number of whole sweeps completed by
-// sweep-scope echo.
-func (s *Steady) SweepEchoes() uint64 { return s.sweepEchoes }
-
 // ReplayRuns feeds one batch through the engine.
 func (s *Steady) ReplayRuns(runs []Run) {
-	if s.sw.echoing {
-		s.sweepEchoRuns(runs)
-		return
-	}
-	if s.sweepTapRuns(runs) {
-		return // consumed as the first verified batch of a sweep echo
-	}
 	switch s.mode {
 	case steadyIdle:
 		s.beginPhase()
@@ -469,13 +405,6 @@ func (s *Steady) ReplayRuns(runs []Run) {
 						s.curAcc += int64(r.Count)
 					}
 				}
-				// Unit 0 defers mask construction to the first marker:
-				// most phases are refused there, and building masks
-				// per-batch for a phase that never snapshots is pure
-				// overhead (it dominated tiled-sweep profiles).
-				if s.footOK && s.unit > 0 {
-					s.noteFoot(runs)
-				}
 			}
 		}
 	case steadySkip:
@@ -489,13 +418,6 @@ func (s *Steady) ReplayRuns(runs []Run) {
 
 // PlaneMark processes a phase marker.
 func (s *Steady) PlaneMark(mk PlaneMark) {
-	if s.sw.echoing {
-		s.sweepEchoMark(mk)
-		return
-	}
-	if s.sweepTapMark(mk) {
-		return // consumed by a mid-sweep echo entry at an empty-unit phase
-	}
 	switch s.mode {
 	case steadyIdle:
 		// A unit can be empty (no batches before its marker); start the
@@ -513,7 +435,6 @@ func (s *Steady) PlaneMark(mk PlaneMark) {
 			s.mode = steadyIdle
 		}
 	}
-	s.sweepTapMarkDone()
 }
 
 func (s *Steady) replay(runs []Run) {
@@ -541,71 +462,6 @@ func (s *Steady) beginPhase() {
 	s.curRecOK = true
 	s.candInit = false
 	s.pinsOK = true
-	s.footOK = s.anyScoped && !s.DisableFootprints
-	if s.footOK {
-		if s.curFoot == nil {
-			s.curFoot = make([]footMask, len(s.levels))
-			s.cumFoot = make([]footMask, len(s.levels))
-			s.footW = make([]footMask, len(s.levels))
-			s.footW1 = make([]footMask, len(s.levels))
-			s.footG = make([]footMask, len(s.levels))
-			s.footGN = make([]footMask, len(s.levels))
-			s.footA = make([]footMask, len(s.levels))
-			s.footB = make([]footMask, len(s.levels))
-			for li, c := range s.levels {
-				if s.scoped[li] {
-					s.curFoot[li] = newFootMask(c.sets)
-					s.cumFoot[li] = newFootMask(c.sets)
-					s.footW[li] = newFootMask(c.sets)
-					s.footW1[li] = newFootMask(c.sets)
-					s.footG[li] = newFootMask(c.sets)
-					s.footGN[li] = newFootMask(c.sets)
-					s.footA[li] = newFootMask(c.sets)
-					s.footB[li] = newFootMask(c.sets)
-				}
-			}
-		}
-		for li := range s.levels {
-			if s.scoped[li] {
-				s.curFoot[li].clear()
-				s.cumFoot[li].clear()
-			}
-		}
-	}
-}
-
-// noteFoot folds a batch into the current unit's per-level footprint.
-// The footprint records the sets a batch can MUTATE: loads (plus their
-// next-line prefetch installs) and, on write-allocate levels, stores.
-// Write-around stores never change a set's (tag, dirty) state — a hit
-// leaves the line as is, a miss writes around — so they stay out of
-// the mask; their hit/miss outcomes are certified separately by
-// storesKeepMissing at confirm time.
-func (s *Steady) noteFoot(runs []Run) {
-	for li, c := range s.levels {
-		if !s.scoped[li] {
-			continue
-		}
-		m := s.curFoot[li]
-		for _, r := range runs {
-			if r.Store && !c.cfg.WriteAllocate {
-				continue
-			}
-			m.addRun(r, c.lineShift, c.sets, !r.Store && c.cfg.NextLinePrefetch)
-		}
-	}
-}
-
-// clearCurFoot resets the per-unit footprint at a unit boundary.
-func (s *Steady) clearCurFoot() {
-	if !s.footOK {
-		return
-	}
-	for li := range s.levels {
-		if s.scoped[li] {
-			s.curFoot[li].clear()
-		}
-	}
 }
 
 func (s *Steady) ensureBaseline() {
@@ -646,11 +502,6 @@ func (s *Steady) observeMark(mk PlaneMark) {
 			s.toLive(mk)
 			return
 		}
-		// The phase is viable: build unit 0's deferred footprint from
-		// its recorded pattern (equivalent to per-batch accumulation).
-		if s.footOK && s.recording {
-			s.noteFoot(s.curPat)
-		}
 	} else if mk.Index != s.unit || mk.Delta != s.delta || mk.Planes != s.planes || mk.Level != s.level {
 		s.toLive(mk)
 		return
@@ -690,7 +541,6 @@ func (s *Steady) observeMark(mk PlaneMark) {
 	if s.mode == steadyObserve && s.recording {
 		s.curPat = s.curPat[:0]
 		s.curAcc = 0
-		s.clearCurFoot()
 	}
 }
 
@@ -709,12 +559,10 @@ func (s *Steady) phaseViable() bool {
 	unsteady := s.delta <= 0 || s.planes < 2
 	if !s.recording || (unsteady && !s.dl.tracing) {
 		s.diag.RefusedDelta++
-		s.footOK = false
 		return false
 	}
 	if unsteady {
 		s.diag.RefusedDelta++
-		s.footOK = false
 		s.t0 = 1
 		s.aViable = false
 		s.pinsOK = s.planes >= 3 && s.curAcc*int64(s.planes) >= int64(s.slots)*16
@@ -734,30 +582,11 @@ func (s *Steady) phaseViable() bool {
 		// the snapshot tax planes times over while confirming too late
 		// to earn it back.
 		budget = s.curAcc >= int64(s.slots)*2
-		if budget {
-			// Full-state snapshots are affordable. Footprint scoping
-			// would only add per-access mask accumulation for a confirm
-			// the full compare already makes cheap, so it stays off.
-			if !s.footForce {
-				s.footOK = false
-			}
-		} else if s.footOK {
-			// Footprint rescue: the full-state snapshot is unaffordable,
-			// but one scoped to the sets the unit actually touches may
-			// not be. Build unit 0's masks now (observeMark's deferred
-			// build re-ors the same bits, which is idempotent) and
-			// re-run the gate against the scoped estimate.
-			s.noteFoot(s.curPat)
-			budget = s.curAcc >= s.scopedCost()*2
-		}
 	} else if gate > 0 {
 		budget = s.curAcc >= gate
 	}
 	if !budget {
 		s.diag.RefusedBudget++
-		// Footprints only serve detection snapshots; a refused phase
-		// stops accumulating them either way.
-		s.footOK = false
 		if !s.echoAssist() && !s.dl.tracing {
 			return false
 		}
@@ -793,7 +622,6 @@ func (s *Steady) phaseViable() bool {
 				s.diag.RefusedShort++
 			}
 		}
-		s.footOK = false
 		if s.planes < 3 && !s.dl.tracing {
 			// Two units cannot carry a pin (pins exclude the first and
 			// last unit), so there is nothing cross-phase echo could use.
@@ -812,28 +640,6 @@ func (s *Steady) phaseViable() bool {
 		s.snaps = make([]steadySnap, s.MaxPeriod+1)
 	}
 	return true
-}
-
-// scopedCost estimates the cost of one state snapshot: the projected
-// footprint-scoped encode size for scoped levels (the unit footprint
-// grown by the maximum period), the full slot count elsewhere.
-func (s *Steady) scopedCost() int64 {
-	if !s.footOK {
-		return int64(s.slots)
-	}
-	var cost int64
-	for li, c := range s.levels {
-		if !s.scoped[li] {
-			cost += int64(len(c.tags))
-			continue
-		}
-		f := int64(s.curFoot[li].count()) * int64(s.MaxPeriod+2)
-		if f > int64(len(c.tags)) {
-			f = int64(len(c.tags))
-		}
-		cost += f
-	}
-	return cost
 }
 
 // echoAssist reports whether this phase shape deserves recording even
@@ -890,23 +696,6 @@ func (s *Steady) finishUnit() {
 	}
 	for i, c := range s.levels {
 		e.delta[i] = subStats(c.stats, s.baseline[i])
-	}
-	e.footValid = false
-	if s.footOK {
-		if e.foot == nil {
-			e.foot = make([]footMask, len(s.levels))
-		}
-		for li, c := range s.levels {
-			if !s.scoped[li] {
-				continue
-			}
-			if e.foot[li] == nil {
-				e.foot[li] = newFootMask(c.sets)
-			}
-			e.foot[li].copyFrom(s.curFoot[li])
-			s.cumFoot[li].or(s.curFoot[li])
-		}
-		e.footValid = true
 	}
 	s.recordUnit(a, e.delta)
 }
@@ -975,20 +764,14 @@ func (s *Steady) snapAt(unit int) *steadySnap {
 	return sn
 }
 
-// takeSnapshot captures the normalized post-unit state of every level.
-// Scoped levels encode only the prediction region returned by snapMask
-// and are excluded from the hash (two snapshots of the same phase may
-// legitimately mask different regions); unscoped levels encode and hash
-// in full exactly as before.
+// takeSnapshot captures the normalized post-unit state of every level
+// and hashes it.
 func (s *Steady) takeSnapshot() {
 	sn := &s.snaps[(s.unit/s.t0)%len(s.snaps)]
 	sn.unit = s.unit
 	if sn.data == nil {
 		sn.data = make([][]int64, len(s.levels))
 		sn.cum = make([]Stats, len(s.levels))
-	}
-	if sn.mask == nil {
-		sn.mask = make([]footMask, len(s.levels))
 	}
 	h := uint64(14695981039346656037)
 	for li, c := range s.levels {
@@ -997,82 +780,10 @@ func (s *Steady) takeSnapshot() {
 			sn.data[li] = make([]int64, len(c.tags))
 		}
 		sn.data[li] = sn.data[li][:len(c.tags)]
-		if s.footOK && s.scoped[li] {
-			if m := s.snapMask(li, c); m != nil {
-				if sn.mask[li] == nil {
-					sn.mask[li] = newFootMask(c.sets)
-				}
-				sn.mask[li].copyFrom(m)
-				s.encodeLevelMasked(c, dLine, sn.data[li], m)
-			} else {
-				// Prediction region grew to the whole level: encode in
-				// full but still compare scoped (the level stays out of
-				// the hash so snapshots remain comparable).
-				sn.mask[li] = nil
-				s.encodeLevel(c, dLine, sn.data[li], 0)
-			}
-		} else {
-			sn.mask[li] = nil
-			h = s.encodeLevel(c, dLine, sn.data[li], h)
-		}
+		h = s.encodeLevel(c, dLine, sn.data[li], h)
 		sn.cum[li] = c.stats
 	}
 	sn.hash = h
-}
-
-// snapMask builds the normalized prediction region for a scoped level's
-// snapshot at the current unit: every set a future masked compare may
-// read from it, either as the older snapshot (the next MaxPeriod units'
-// footprints, predicted by translating the cumulative footprint forward
-// by whole alignment steps) or as the newer one (the last period's
-// window translated forward by the period). Returns nil when the region
-// covers the whole level (full encode is cheaper then). A compare whose
-// window escapes the prediction is refused by snapMatch, so an
-// under-prediction costs a skip, never exactness.
-func (s *Steady) snapMask(li int, c *Cache) footMask {
-	g := s.footG[li]
-	g.clear()
-	cum := s.cumFoot[li]
-	iMax := (s.MaxPeriod/s.t0 + 1) * s.t0
-	for i := 0; i <= iMax; i += s.t0 {
-		// i is a multiple of t0, so i·Δ is line-aligned and the rotation
-		// is exact (no fractional lines).
-		rot := int(((int64(i) * s.delta) >> c.lineShift) % int64(c.sets))
-		g.orRotated(cum, rot, c.sets)
-	}
-	if g.full(c.sets) {
-		return nil
-	}
-	rotV := int(((int64(s.unit) * s.delta) >> c.lineShift) % int64(c.sets))
-	out := s.footGN[li]
-	out.clear()
-	out.orRotated(g, (c.sets-rotV)%c.sets, c.sets)
-	return out
-}
-
-// encodeLevelMasked is encodeLevel for a direct-mapped level restricted
-// to the sets marked in mask (normalized positions); other positions of
-// data are left untouched. No hash is produced.
-func (s *Steady) encodeLevelMasked(c *Cache, dLine int64, data []int64, mask footMask) {
-	rot := int(dLine % int64(c.sets))
-	for wi, w := range mask {
-		for w != 0 {
-			set := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			src := set + rot
-			if src >= c.sets {
-				src -= c.sets
-			}
-			e := int64(steadyInvalidEnc)
-			if t := c.tags[src]; t != -1 {
-				e = (t - dLine) << 1
-				if c.dirty[src] {
-					e |= 1
-				}
-			}
-			data[set] = e
-		}
-	}
 }
 
 // encodeLevel writes c's state into data normalized by a translation of
@@ -1164,78 +875,12 @@ func (s *Steady) findCycle() (int, bool) {
 		if !statsSliceEq(curPat.delta, prevPat.delta) {
 			continue
 		}
-		if !s.snapMatch(cur, prev, T) {
+		if !encEq(cur.data, prev.data) {
 			continue
 		}
 		return T, true
 	}
 	return 0, false
-}
-
-// snapMatch compares two snapshots: unscoped levels word for word (the
-// classic whole-state fingerprint), scoped levels only over the last
-// period's window footprint, after checking that both sparse encodes
-// actually cover the window. For scoped levels equality over the window
-// establishes exactly the period-1 obligations; periods beyond the
-// window and sets the over-approximate footprint includes but the
-// stream never probed are certified by scopedConfirm's shift check.
-func (s *Steady) snapMatch(cur, prev *steadySnap, T int) bool {
-	for li, c := range s.levels {
-		x, y := cur.data[li], prev.data[li]
-		if len(x) != len(y) {
-			return false
-		}
-		if !(s.footOK && s.scoped[li]) {
-			for i := range x {
-				if x[i] != y[i] {
-					return false
-				}
-			}
-			continue
-		}
-		w1 := s.windowMask(li, c, T, prev.unit)
-		if w1 == nil {
-			s.diag.FootRefused++
-			return false
-		}
-		if (cur.mask[li] != nil && !cur.mask[li].contains(w1)) ||
-			(prev.mask[li] != nil && !prev.mask[li].contains(w1)) {
-			s.diag.FootRefused++
-			return false
-		}
-		for wi, w := range w1 {
-			for w != 0 {
-				set := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if x[set] != y[set] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// windowMask builds, for scoped level li, the union of the footprints
-// of units prevUnit+1..prevUnit+T (the window whose behavior the cycle
-// claim extrapolates) rotated into the older snapshot's normalized
-// space. The absolute union is left in s.footW[li] for scopedConfirm.
-// Returns nil when any unit's footprint is unavailable.
-func (s *Steady) windowMask(li int, c *Cache, T, prevUnit int) footMask {
-	w := s.footW[li]
-	w.clear()
-	for u := prevUnit + 1; u <= prevUnit+T; u++ {
-		e := s.ringAt(u)
-		if e == nil || !e.footValid || e.foot[li] == nil {
-			return nil
-		}
-		w.or(e.foot[li])
-	}
-	rotV := int(((int64(prevUnit) * s.delta) >> c.lineShift) % int64(c.sets))
-	out := s.footW1[li]
-	out.clear()
-	out.orRotated(w, (c.sets-rotV)%c.sets, c.sets)
-	return out
 }
 
 func (s *Steady) confirmCycle(T int) {
@@ -1245,13 +890,6 @@ func (s *Steady) confirmCycle(T int) {
 		// Nothing left to skip; larger periods only shrink m, so stop
 		// paying for snapshots. Recording continues for cross-phase echo.
 		s.aViable = false
-		return
-	}
-	if !s.scopedConfirm(T, m) {
-		// The exterior shift check failed: the masked fingerprint alone
-		// cannot certify this candidate. Keep observing — a later unit
-		// (or a longer period) may still confirm.
-		s.diag.FootRefused++
 		return
 	}
 	// The confirm unit is also the best echo pin for this phase: a
@@ -1272,159 +910,6 @@ func (s *Steady) confirmCycle(T int) {
 	s.curPat = s.curPat[:0]
 	s.mode = steadySkip
 	s.cycles++
-	for li := range s.levels {
-		if s.skipScoped[li] {
-			s.diag.ScopedConfirms++
-			break
-		}
-	}
-}
-
-// scopedConfirm certifies the footprint-scoped part of a cycle
-// candidate and saves each scoped level's window for applySkip. The
-// masked fingerprint already certified period 1: the live contents of
-// W + TΔ_rot equal the translated contents the window started from, so
-// the first extrapolated period replays the window exactly. What
-// remains is the frontier each later period a = 2..m enters for the
-// first time, (W + a·TΔ_rot) minus every earlier period's region:
-// those sets still hold their confirm-time contents, so the live state
-// must satisfy C(set) == translate(C(set - TΔ_rot), TΔ_line) there.
-// Chained through the previously certified regions, that single-step
-// equality extends the per-period induction to the whole of R = ∪ (W +
-// a·TΔ_rot) and makes the sparse reconstruction in translateScoped
-// exact (see DESIGN.md; masks are line-exact — addRun degrades
-// line-skipping strides to a full mask — so "frontier" is literal, not
-// a superset). Scoped levels are direct-mapped, so content is the
-// (tag, dirty) pair alone.
-func (s *Steady) scopedConfirm(T, m int) bool {
-	for li, c := range s.levels {
-		s.skipScoped[li] = false
-		if !(s.footOK && s.scoped[li]) {
-			continue
-		}
-		w := s.footW[li]
-		w.clear()
-		for u := s.unit - T + 1; u <= s.unit; u++ {
-			e := s.ringAt(u)
-			if e == nil || !e.footValid || e.foot[li] == nil {
-				return false
-			}
-			w.or(e.foot[li])
-		}
-		rotStep := int(((int64(T) * s.delta) >> c.lineShift) % int64(c.sets))
-		lineStep := (int64(T) * s.delta) >> c.lineShift
-		cur := s.footA[li]
-		cur.copyFrom(w)
-		r := s.footG[li] // free at confirm time: snapshots reuse it later
-		r.clear()
-		next := s.footB[li]
-		// Seed with period 1's region, certified by snapMatch's masked
-		// compare: no self-shift obligation there.
-		next.clear()
-		next.orRotated(cur, rotStep, c.sets)
-		cur.copyFrom(next)
-		r.or(next)
-		for a := 2; a <= m; a++ {
-			next.clear()
-			next.orRotated(cur, rotStep, c.sets)
-			cur.copyFrom(next)
-			for wi, word := range next {
-				word &^= r[wi]
-				for word != 0 {
-					set := wi<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					src := set - rotStep
-					if src < 0 {
-						src += c.sets
-					}
-					tSrc, tDst := c.tags[src], c.tags[set]
-					if tSrc == -1 {
-						if tDst != -1 {
-							return false
-						}
-					} else if tDst != tSrc+lineStep || c.dirty[set] != c.dirty[src] {
-						return false
-					}
-				}
-			}
-			r.or(next)
-		}
-		if !c.cfg.WriteAllocate && !s.storesKeepMissing(li, c, w, T, m) {
-			return false
-		}
-		if s.skipFoot[li] == nil {
-			s.skipFoot[li] = newFootMask(c.sets)
-		}
-		s.skipFoot[li].copyFrom(w)
-		s.skipScoped[li] = true
-	}
-	return true
-}
-
-// storesKeepMissing certifies write-around stores for a cycle
-// candidate on scoped level li. Stores to sets the window also mutates
-// (w, the absolute window footprint) are covered by the translation
-// invariant; every other store probes a set the whole extrapolation
-// leaves untouched, so its hit/miss outcome depends on whatever stale
-// line happens to sit there. The skipped periods replay the window's
-// store lines shifted by a·TΔ for a = 1..m: for the extrapolated stats
-// to be exactly m copies of the window's, each such store must resolve
-// the same way it did in the window. Neither write-around stores nor
-// the certified load regions can install those lines, so it suffices
-// that no store line at any shift a = 0..m finds its own tag resident
-// in the live state — all outcomes are then misses, with instance
-// a = 0 doubling as proof that the window's own stores missed. Any
-// possible hit refuses the candidate.
-func (s *Steady) storesKeepMissing(li int, c *Cache, w footMask, T, m int) bool {
-	lineStep := (int64(T) * s.delta) >> c.lineShift
-	rotStep := int(lineStep % int64(c.sets))
-	lineBytes := int64(1) << c.lineShift
-	for u := s.unit - T + 1; u <= s.unit; u++ {
-		e := s.ringAt(u)
-		if e == nil {
-			return false
-		}
-		anc := &s.anchors[e.anchor]
-		off := int64(u-anc.unit) * s.delta
-		for _, r := range anc.runs {
-			if !r.Store {
-				continue
-			}
-			st := int64(r.Stride)
-			if st < 0 {
-				st = -st
-			}
-			if st > lineBytes {
-				return false
-			}
-			lo := r.Base + off
-			hi := lo + (int64(r.Count)-1)*int64(r.Stride)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			for l := lo >> c.lineShift; l <= hi>>c.lineShift; l++ {
-				s0 := int(l % int64(c.sets))
-				if s0 < 0 {
-					s0 += c.sets
-				}
-				if w.bit(s0) {
-					continue
-				}
-				ln, sd := l, s0
-				for p := 0; p <= m; p++ {
-					if c.tags[sd] == ln {
-						return false
-					}
-					ln += lineStep
-					sd += rotStep
-					if sd >= c.sets {
-						sd -= c.sets
-					}
-				}
-			}
-		}
-	}
-	return true
 }
 
 // skipRef returns the ring entry the given unit must repeat (one or
@@ -1500,7 +985,6 @@ func (s *Steady) skipMark(mk PlaneMark) {
 				// The sub-period remainder is simulated and recorded;
 				// nothing more for plane-cycle detection to gain.
 				s.aViable = false
-				s.footOK = false
 				s.recording = s.curRecOK
 				s.mode = steadyObserve
 			}
@@ -1515,7 +999,6 @@ func (s *Steady) skipMark(mk PlaneMark) {
 	if s.mode == steadyObserve && s.recording {
 		s.curPat = s.curPat[:0]
 		s.curAcc = 0
-		s.clearCurFoot()
 	}
 }
 
@@ -1567,7 +1050,6 @@ func (s *Steady) flush(pending []Run) {
 		s.replay(pending)
 	}
 	s.aViable = false
-	s.footOK = false // detection is over for this phase; stop masking
 	if s.recording {
 		s.mode = steadyObserve
 	} else {
@@ -1653,8 +1135,7 @@ func (s *Steady) replayShifted(runs []Run, off int64) {
 }
 
 // applySkip accounts m whole skipped periods: per-level stats scale
-// linearly and the state translates by the skipped distance — in full
-// on unscoped levels, only over the touched region on scoped ones.
+// linearly and the state translates by the skipped distance.
 func (s *Steady) applySkip(m int) {
 	d := int64(m) * int64(s.period) * s.delta
 	for i, c := range s.levels {
@@ -1666,76 +1147,9 @@ func (s *Steady) applySkip(m int) {
 		c.stats.StoreMisses += cs.StoreMisses * mm
 		c.stats.Writebacks += cs.Writebacks * mm
 		c.stats.Prefetches += cs.Prefetches * mm
-		if s.skipScoped[i] {
-			s.translateScoped(c, i, m)
-		} else {
-			s.translateCache(c, d)
-		}
+		s.translateCache(c, d)
 	}
 	s.skipped += uint64(m * s.period)
-}
-
-// translateScoped reconstructs a scoped (direct-mapped) level's state
-// after m skipped periods without touching sets the skip never reaches:
-// a set covered last by period a (the largest a with set ∈ W + a·TΔ_rot)
-// takes the a-periods-forward translate of the live content at
-// set - a·TΔ_rot; every other set is untouched by the skipped stream
-// and keeps its content. Exactness of the rule is certified by
-// scopedConfirm's shift check over the same region.
-func (s *Steady) translateScoped(c *Cache, li, m int) {
-	rotStep := int(((int64(s.period) * s.delta) >> c.lineShift) % int64(c.sets))
-	lineStep := (int64(s.period) * s.delta) >> c.lineShift
-	n := c.sets
-	if cap(s.lastA) < n {
-		s.lastA = make([]int32, n)
-	}
-	la := s.lastA[:n]
-	for i := range la {
-		la[i] = 0
-	}
-	cur := s.footA[li]
-	cur.copyFrom(s.skipFoot[li])
-	next := s.footB[li]
-	for a := 1; a <= m; a++ {
-		next.clear()
-		next.orRotated(cur, rotStep, n)
-		cur.copyFrom(next)
-		for wi, word := range next {
-			for word != 0 {
-				set := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				la[set] = int32(a)
-			}
-		}
-	}
-	if cap(s.scratchTags) < len(c.tags) {
-		s.scratchTags = make([]int64, len(c.tags))
-		s.scratchDirty = make([]bool, len(c.tags))
-		s.scratchStamp = make([]uint64, len(c.tags))
-	}
-	tg, dd := s.scratchTags[:n], s.scratchDirty[:n]
-	for set := 0; set < n; set++ {
-		a := int(la[set])
-		if a == 0 {
-			continue
-		}
-		src := set - (a*rotStep)%n
-		if src < 0 {
-			src += n
-		}
-		t := c.tags[src]
-		if t != -1 {
-			t += int64(a) * lineStep
-		}
-		tg[set] = t
-		dd[set] = c.dirty[src]
-	}
-	for set := 0; set < n; set++ {
-		if la[set] != 0 {
-			c.tags[set] = tg[set]
-			c.dirty[set] = dd[set]
-		}
-	}
 }
 
 // translateCache shifts every resident line by d bytes: tags advance by

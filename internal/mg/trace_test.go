@@ -122,7 +122,7 @@ func TestSteadyMultigridLevels(t *testing.T) {
 			}
 		}
 		d := sd.Diag()
-		if d.Confirmed+d.Echoes+d.SweepEchoes == 0 {
+		if d.Confirmed+d.Echoes == 0 {
 			t.Errorf("tiled=%v: steady engine never engaged on the V-cycle: %+v", p.Tiled, d)
 		}
 	}

@@ -99,11 +99,9 @@ func TestSteadyDifferentialKernels(t *testing.T) {
 // TestSteadyDifferentialAllMethods is the production-path differential:
 // every kernel under every paper method, with the REAL selection plans
 // (core.Select against a scaled cache) and the engine's production
-// gate — MinUnitAccesses zero, so the default budget gate, the
-// footprint rescue and the sweep-echo layer all run exactly as the
-// bench harness runs them. Each configuration is also replayed with
-// footprints and sweep echo disabled: all three must be bit-identical
-// to full replay.
+// gate — MinUnitAccesses zero, so the default budget gate runs exactly
+// as the bench harness runs it. Every configuration must be
+// bit-identical to full replay.
 func TestSteadyDifferentialAllMethods(t *testing.T) {
 	cfgs := []cache.Config{
 		{SizeBytes: 4 << 10, LineBytes: 32},
@@ -122,10 +120,6 @@ func TestSteadyDifferentialAllMethods(t *testing.T) {
 			label := k.String() + "/" + m.String()
 			w := stencil.NewTraceWorkload(k, n, depth, plan)
 			skipped += steadyCompareTuned(t, label, w, sweeps, nil, cfgs...)
-			steadyCompareTuned(t, label+"/nofoot", w, sweeps, func(st *cache.Steady) {
-				st.DisableFootprints = true
-				st.DisableSweepEcho = true
-			}, cfgs...)
 		}
 	}
 	if skipped == 0 {
