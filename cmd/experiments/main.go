@@ -66,7 +66,7 @@ func main() {
 		workers    = flag.Int("workers", cache.DefaultWorkers(), "simulation worker goroutines (results are identical for any count)")
 		steady     = flag.Bool("steady", true, "steady-state plane-cycle detection (identical results; -steady=false simulates every plane)")
 		warmShare  = flag.Bool("warmshare", true, "share results between sweep points with identical selection plans (identical results; -warmshare=false simulates every point)")
-		delta      = flag.Bool("delta", true, "cross-point delta simulation: trace each point's warm sweep into phase records, replay measured sweeps from them, and seed plan-identical neighbors (identical results; -delta=false replays every sweep)")
+		delta      = flag.Bool("delta", true, "delta replay: trace each point's warm sweep into phase records and replay measured sweeps from them (identical results; -delta=false replays every sweep)")
 		verbose    = flag.Bool("v", false, "per-point diagnostics on stderr: how each sweep point was resolved (simulated/shared/degraded) and steady-engine counters")
 		checkpoint = flag.String("checkpoint", "", "journal completed simulation points to this file (JSONL)")
 		resume     = flag.Bool("resume", false, "with -checkpoint: load already-completed points instead of recomputing them")

@@ -42,7 +42,7 @@ func main() {
 		asJSON     = flag.Bool("json", false, "emit the series as JSON instead of a table")
 		workers    = flag.Int("workers", cache.DefaultWorkers(), "simulation worker goroutines (results are identical for any count)")
 		steady     = flag.Bool("steady", true, "steady-state plane-cycle detection (identical results; -steady=false simulates every plane)")
-		delta      = flag.Bool("delta", true, "cross-point delta simulation (identical results; -delta=false replays every sweep in full)")
+		delta      = flag.Bool("delta", true, "delta replay of measured sweeps from the traced warm sweep (identical results; -delta=false replays every sweep in full)")
 		checkpoint = flag.String("checkpoint", "", "journal completed simulation points to this file (JSONL)")
 		resume     = flag.Bool("resume", false, "with -checkpoint: load already-completed points instead of recomputing them")
 		pointTO    = flag.Duration("point-timeout", 0, "per-point watchdog; an expired point retries without the steady engine, then is marked FAIL (0 = off)")

@@ -10,11 +10,13 @@ import (
 )
 
 // chaosSweep is the job both halves of the differential run: 2 methods
-// x 3 sizes = 6 points, small enough to finish in seconds.
+// x 3 sizes = 6 points, small enough to finish in seconds. Euc3D and Pad
+// pick the same plan at N=48, so the sweep holds a warm-share group and
+// every resumed journal must carry the clean run's Shared marker.
 func chaosSweep() SweepRequest {
 	return SweepRequest{
 		Kernel:  "jacobi",
-		Methods: []string{"Orig", "Euc3D"},
+		Methods: []string{"Euc3D", "Pad"},
 		NMin:    40, NMax: 56, NStep: 8, K: 8,
 		L1: testGeometry(),
 	}
@@ -60,6 +62,9 @@ func TestChaosDifferentialTornKill(t *testing.T) {
 	cleanJournal, err := os.ReadFile(filepath.Join(cleanDir, id+".journal"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Contains(cleanJournal, []byte(`"shared"`)) {
+		t.Fatalf("clean journal has no warm-shared point; the differential misses warm sharing:\n%s", cleanJournal)
 	}
 	cleanResult, err := os.ReadFile(filepath.Join(cleanDir, id+".result.json"))
 	if err != nil {

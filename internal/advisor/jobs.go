@@ -198,10 +198,11 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 	}
 	opt.Journal = journal
 	j.setDone(journal.Resumed())
-	// The "job" fault counter ticks once per freshly simulated point
-	// (journal-resumed points never reach the hook). kill abandons the
-	// job as a crash would; torn also leaves a half-written last line
-	// for the restart to recover from.
+	// The "job" fault counter ticks once per point resolved in this run,
+	// simulated or copied from its warm-share lead (journal-resumed
+	// points never reach the hook). kill abandons the job as a crash
+	// would; torn also leaves a half-written last line for the restart
+	// to recover from.
 	opt.DiagHook = func(d bench.PointDiag) {
 		j.tick()
 		if rule, ok := m.fault.Fire("job"); ok {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"tiling3d/internal/cache"
-	"tiling3d/internal/core"
 	"tiling3d/internal/stencil"
 )
 
@@ -43,12 +42,11 @@ func TestDeltaPointDifferential(t *testing.T) {
 	}
 }
 
-// TestDeltaSweepIdentical drives the sweep engine's donor scheduling
-// (warm sharing off, so plan-identical groups seed followers with the
-// lead's phase records) and requires bit-identical outcomes plus actual
-// donor traffic.
+// TestDeltaSweepIdentical drives the sweep engine with warm sharing off,
+// so every point simulates and delta-replays its own measured sweeps,
+// and requires bit-identical outcomes plus actual delta replay.
 func TestDeltaSweepIdentical(t *testing.T) {
-	seeded, reused := 0, 0
+	reused := 0
 	for _, k := range stencil.Kernels() {
 		opt := smallOptions()
 		opt.Sweeps = 2
@@ -56,9 +54,6 @@ func TestDeltaSweepIdentical(t *testing.T) {
 		var mu sync.Mutex
 		opt.DiagHook = func(d PointDiag) {
 			mu.Lock()
-			if d.Donor != "" {
-				seeded++
-			}
 			if d.DeltaReused() {
 				reused++
 			}
@@ -78,9 +73,6 @@ func TestDeltaSweepIdentical(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("delta replay never fired across the small grids")
-	}
-	if seeded == 0 {
-		t.Fatal("no follower was ever donor-seeded: the neighbor scheduling path was never exercised")
 	}
 }
 
@@ -106,15 +98,15 @@ func TestDeltaWarmShareInterplay(t *testing.T) {
 	}
 }
 
-// TestDeltaResumeInterplay: a sweep interrupted mid-run and resumed
-// from its journal — so some groups' leads complete in the first run
-// and their followers in the second, donor-less — must still match full
-// simulation point for point.
+// TestDeltaResumeInterplay: a warm-sharing sweep interrupted mid-run
+// and resumed from its journal — so some groups' leads complete in the
+// first run and their followers in the second, answered from the
+// journaled lead — must match an uninterrupted run exactly, Shared
+// markers included, and full simulation point for point.
 func TestDeltaResumeInterplay(t *testing.T) {
 	k := stencil.Jacobi
 	base := smallOptions()
 	base.Sweeps = 2
-	base.DisableWarmShare = true
 	path := filepath.Join(t.TempDir(), "delta_resume.jsonl")
 
 	first := base
@@ -153,15 +145,30 @@ func TestDeltaResumeInterplay(t *testing.T) {
 		t.Fatalf("second run: %v", err)
 	}
 
+	clean, err := simGrid(k, base)
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
 	ref, err := simGrid(k, fullSim(base))
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	for i := range outs {
-		if outs[i] != ref[i] {
-			t.Errorf("point %s diverged across resume:\n  got  %+v\n  full %+v",
-				outs[i].Key, outs[i], ref[i])
+	shared := 0
+	for i, got := range stripShared(outs) {
+		if outs[i] != clean[i] {
+			t.Errorf("point %s resolved differently across resume:\n  got   %+v\n  clean %+v",
+				outs[i].Key, outs[i], clean[i])
 		}
+		if got != ref[i] {
+			t.Errorf("point %s diverged across resume:\n  got  %+v\n  full %+v",
+				got.Key, got, ref[i])
+		}
+		if outs[i].Shared != "" {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no point was shared; the warm-share resume path was never exercised")
 	}
 }
 
@@ -191,68 +198,6 @@ func TestDeltaRandomGeometry(t *testing.T) {
 		if got != want {
 			t.Errorf("geom %d %s/%s N=%d sweeps=%d: diverged:\n  delta %+v\n  full  %+v",
 				gi, k, m, n, opt.Sweeps, got, want)
-		}
-	}
-}
-
-// TestDeltaDegradedLeadNoDonor: a lead that degrades must not donate;
-// its followers run donor-less and still match full simulation. Mirrors
-// TestWarmShareDegradedLeadFallback on the delta scheduling path.
-func TestDeltaDegradedLeadNoDonor(t *testing.T) {
-	k := stencil.Jacobi
-	opt := smallOptions()
-	opt.Sweeps = 2
-	opt.DisableWarmShare = true
-
-	var lead PointKey
-	var followers []PointKey
-	for _, g := range shareGroups(k, opt) {
-		if len(g) > 1 {
-			lead, followers = g[0], g[1:]
-			break
-		}
-	}
-	if lead == (PointKey{}) {
-		t.Fatal("no shareable group in the small grid")
-	}
-	opt.faultInject = func(o Options, m core.Method, n int) {
-		if !o.DisableSteady && m.String() == lead.Method && n == lead.N {
-			panic("injected: lead's primary attempt")
-		}
-	}
-	var mu sync.Mutex
-	diags := map[PointKey]PointDiag{}
-	opt.DiagHook = func(d PointDiag) {
-		mu.Lock()
-		diags[d.Key] = d
-		mu.Unlock()
-	}
-	outs, err := simGrid(k, opt)
-	if err != nil {
-		t.Fatalf("simGrid: %v", err)
-	}
-	if ld := diags[lead]; !ld.Degraded {
-		t.Fatalf("lead %s did not degrade: %+v", lead, ld)
-	}
-	for _, f := range followers {
-		fd := diags[f]
-		if fd.Donor != "" {
-			t.Errorf("follower %s was seeded by a degraded lead", f)
-		}
-		if fd.Degraded || fd.Failed {
-			t.Errorf("follower %s should have simulated cleanly: %+v", f, fd)
-		}
-	}
-	ref, err := simGrid(k, fullSim(opt))
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	for i := range outs {
-		got := outs[i]
-		got.Degraded, got.Err = false, ""
-		if got != ref[i] {
-			t.Errorf("point %s diverged under degraded lead:\n  got  %+v\n  full %+v",
-				got.Key, outs[i], ref[i])
 		}
 	}
 }

@@ -100,9 +100,6 @@ func SimulateStats(k stencil.Kernel, m core.Method, n int, opt Options) SimResul
 	sd, _ := sink.(*cache.Steady)
 	useDelta := sd != nil && !opt.DisableDelta
 	if useDelta {
-		if opt.deltaDonor != nil {
-			sd.SeedDelta(opt.deltaDonor)
-		}
 		sd.DeltaTraceBegin()
 	}
 	w.ReplayTrace(sink) // warm-up: exclude cold misses, as a long run would
@@ -122,13 +119,6 @@ func SimulateStats(k stencil.Kernel, m core.Method, n int, opt Options) SimResul
 	}
 	if opt.deltaDiag != nil && sd != nil {
 		*opt.deltaDiag = sd.DeltaInfo()
-	}
-	if opt.deltaExport != nil {
-		if traced {
-			*opt.deltaExport = sd.ExportDelta()
-		} else {
-			*opt.deltaExport = nil
-		}
 	}
 	return SimResult{
 		N:     n,

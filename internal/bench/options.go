@@ -67,14 +67,12 @@ type Options struct {
 	// sweeps). Like DisableSteady this is an execution knob: results
 	// are bit-identical either way.
 	DisableWarmShare bool
-	// DisableDelta turns off cross-point delta simulation (cache/delta.go):
-	// with it on (the default), a point's warm sweep is traced into phase
-	// records, its measured sweeps replay from the records instead of the
-	// walker, and — when warm sharing is off — plan-identical followers are
-	// seeded with the lead point's records so even their warm sweeps echo.
-	// Like the other engine knobs this is execution-only: statistics are
-	// bit-identical either way, and full simulation remains the fallback
-	// whenever a trace or a donor cannot be validated.
+	// DisableDelta turns off delta replay (cache/delta.go): with it on
+	// (the default), a point's warm sweep is traced into phase records
+	// and its measured sweeps replay from the records instead of the
+	// walker. Like the other engine knobs this is execution-only:
+	// statistics are bit-identical either way, and full simulation
+	// remains the fallback whenever a trace cannot be validated.
 	DisableDelta bool
 
 	// Ctx, when non-nil, cancels a sweep: in-flight points drain, not-
@@ -124,17 +122,6 @@ type Options struct {
 	// deltaDiag, when non-nil, is filled by SimulateStats with the delta
 	// layer's counters, same contract as steadyDiag.
 	deltaDiag *cache.DeltaDiag
-	// deltaDonor, when non-nil, seeds the point's engine with a
-	// plan-identical donor's phase records before the warm sweep.
-	deltaDonor *cache.DeltaDonor
-	// deltaExport, when non-nil, receives the point's exported donor
-	// records after a successful trace (nil when tracing failed). The
-	// sweep engine points it at a per-attempt local so an abandoned
-	// (timed-out) attempt cannot race the group's donor.
-	deltaExport **cache.DeltaDonor
-	// donorFrom names the method whose lead point donated deltaDonor;
-	// it labels PointDiag.Donor when the seed actually took.
-	donorFrom string
 	// faultInject, when non-nil, runs at the start of each point's
 	// simulation and may panic or sleep to exercise the degradation
 	// ladder (it sees the per-attempt options, so a fault can be keyed

@@ -74,6 +74,14 @@ func AbandonedWorkers() (total, live int64) {
 // own ladder instead: a lead that only produced a fallback result may
 // have hit a point-specific fault, and sharing is a shortcut, never a
 // way to widen a failure's blast radius.
+//
+// Grouping and paranoid sampling are functions of the whole grid in
+// slot order, journaled points included, so a resumed sweep resolves
+// every point exactly as an uninterrupted one would: a journaled lead
+// answers its unfinished followers from its journal entry, journaled
+// followers are skipped, and a group with nothing left to do is not
+// dispatched. Which points are Shared therefore depends only on the
+// grid, the plans and the leads' outcomes, never on where a run was cut.
 func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -81,70 +89,64 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 	sizes := opt.Sizes()
 	out := make([]PointOutcome, len(opt.Methods)*len(sizes))
 
+	// items is indexed by slot.
 	type item struct {
-		slot     int
 		m        core.Method
 		n        int
 		paranoid bool
+		done     bool // answered by the journal
 	}
-	var todo []item
-	for mi, m := range opt.Methods {
-		for ni, n := range sizes {
-			slot := mi*len(sizes) + ni
-			key := PointKey{Kernel: k.String(), Method: m.String(), N: n}
+	items := make([]item, 0, len(out))
+	for _, m := range opt.Methods {
+		for _, n := range sizes {
+			slot := len(items)
+			it := item{m: m, n: n, paranoid: opt.ParanoidEvery > 0 && slot%opt.ParanoidEvery == 0}
 			if opt.Journal != nil {
-				if prev, ok := opt.Journal.Lookup(key); ok {
+				if prev, ok := opt.Journal.Lookup(PointKey{Kernel: k.String(), Method: m.String(), N: n}); ok {
 					out[slot] = prev
-					continue
+					it.done = true
 				}
 			}
-			paranoid := opt.ParanoidEvery > 0 && len(todo)%opt.ParanoidEvery == 0
-			todo = append(todo, item{slot: slot, m: m, n: n, paranoid: paranoid})
+			items = append(items, it)
 		}
 	}
 
-	// Group todo points by plan identity. groups[g][0] is the lead. A
+	// Group points by plan identity. groups[g][0] is the lead. A
 	// paranoid point may lead a group (its result is cross-checked, so
 	// copies inherit the scrutiny) but never follows one — it exists to
 	// exercise the full simulation path. Grouping also orders plan
 	// neighbors consecutively on one worker, so a lead's warm result is
 	// still in cache when its followers copy it.
-	//
-	// The same grouping doubles as the delta layer's donor schedule when
-	// warm sharing is off: plan identity is exactly the relation under
-	// which two points' traces are byte-identical (differing plans change
-	// run counts and bases, so no phase of one is a translate of a phase
-	// of the other), which makes the plan-identical lead each point's
-	// maximally-similar completed donor. Leads run first, followers are
-	// seeded with the lead's phase records and simulate (exactly) instead
-	// of copying.
-	deltaShare := opt.DisableWarmShare && !opt.DisableSteady && !opt.DisableDelta
-	groups := make([][]int, 0, len(todo))
-	if !opt.DisableWarmShare || deltaShare {
-		type shareKey struct {
-			n    int
-			plan core.Plan
+	type shareKey struct {
+		n    int
+		plan core.Plan
+	}
+	idx := make(map[shareKey]int)
+	groups := make([][]int, 0, len(items))
+	for i, it := range items {
+		if !opt.DisableWarmShare {
+			if plan, ok := planShareKey(k, it.m, it.n, opt); ok {
+				key := shareKey{n: it.n, plan: plan}
+				g, seen := idx[key]
+				if seen && !it.paranoid {
+					groups[g] = append(groups[g], i)
+					continue
+				}
+				if !seen {
+					idx[key] = len(groups)
+				}
+			}
 		}
-		idx := make(map[shareKey]int)
-		for i, it := range todo {
-			plan, ok := planShareKey(k, it.m, it.n, opt)
-			if !ok {
-				groups = append(groups, []int{i})
-				continue
+		groups = append(groups, []int{i})
+	}
+	// Dispatch only the groups with a point the journal did not answer.
+	pending := groups[:0]
+	for _, g := range groups {
+		for _, i := range g {
+			if !items[i].done {
+				pending = append(pending, g)
+				break
 			}
-			key := shareKey{n: it.n, plan: plan}
-			if g, seen := idx[key]; seen && !it.paranoid {
-				groups[g] = append(groups[g], i)
-				continue
-			}
-			if _, seen := idx[key]; !seen {
-				idx[key] = len(groups)
-			}
-			groups = append(groups, []int{i})
-		}
-	} else {
-		for i := range todo {
-			groups = append(groups, []int{i})
 		}
 	}
 
@@ -167,36 +169,22 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 		}
 	}
 
-	perrs, cerr := cache.ForEachCtx(opt.ctx(), len(groups), opt.Workers, func(gi int) {
-		g := groups[gi]
-		it := todo[g[0]]
-		lopt := opt
-		var donor *cache.DeltaDonor
-		if deltaShare && len(g) > 1 {
-			lopt.deltaExport = &donor
+	perrs, cerr := cache.ForEachCtx(opt.ctx(), len(pending), opt.Workers, func(gi int) {
+		g := pending[gi]
+		if it := items[g[0]]; !it.done {
+			out[g[0]] = runPoint(k, it.m, it.n, opt, it.paranoid)
+			record(out[g[0]])
 		}
-		lead := runPoint(k, it.m, it.n, lopt, it.paranoid)
-		out[it.slot] = lead
-		record(lead)
+		lead := out[g[0]]
 		for _, fi := range g[1:] {
-			f := todo[fi]
+			f := items[fi]
+			if f.done {
+				continue
+			}
 			var outc PointOutcome
-			switch {
-			case lead.Failed || lead.Degraded:
-				// A degraded or failed donor never propagates: followers
-				// run their own full ladder, donor-less.
+			if lead.Failed || lead.Degraded {
 				outc = runPoint(k, f.m, f.n, opt, f.paranoid)
-			case deltaShare:
-				// Seed the follower with the lead's phase records: its warm
-				// sweep echoes from the first matching pin and its measured
-				// sweeps delta-replay, but it still simulates — exactly —
-				// rather than copying. A nil donor (lead traced nothing)
-				// just means a donor-less, still-exact run.
-				fopt := opt
-				fopt.deltaDonor = donor
-				fopt.donorFrom = lead.Key.Method
-				outc = runPoint(k, f.m, f.n, fopt, f.paranoid)
-			default:
+			} else {
 				outc = PointOutcome{
 					Key:    PointKey{Kernel: k.String(), Method: f.m.String(), N: f.n},
 					Res:    lead.Res,
@@ -206,7 +194,7 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 					opt.DiagHook(PointDiag{Key: outc.Key, Shared: outc.Shared})
 				}
 			}
-			out[f.slot] = outc
+			out[fi] = outc
 			record(outc)
 		}
 	})
@@ -214,12 +202,12 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 	// recovery machinery is broken; still, record them as failures
 	// rather than losing them.
 	for _, pe := range perrs {
-		for _, fi := range groups[pe.Index] {
-			it := todo[fi]
-			if out[it.slot].Key != (PointKey{}) {
-				continue // completed before the panic escaped
+		for _, fi := range pending[pe.Index] {
+			if out[fi].Key != (PointKey{}) {
+				continue // journaled, or completed before the panic escaped
 			}
-			out[it.slot] = PointOutcome{
+			it := items[fi]
+			out[fi] = PointOutcome{
 				Key:    PointKey{Kernel: k.String(), Method: it.m.String(), N: it.n},
 				Failed: true,
 				Err:    pe.Error(),
@@ -257,7 +245,6 @@ func forEachCtx(opt Options, n int, fn func(i int)) {
 type PointDiag struct {
 	Key      PointKey
 	Shared   string // lead method whose result was copied; "" when simulated
-	Donor    string // lead method whose phase records seeded this point; "" when unseeded
 	Degraded bool
 	Failed   bool
 	Err      string
@@ -279,11 +266,8 @@ func (d PointDiag) String() string {
 		return fmt.Sprintf("%s: degraded (steady disabled): %s", d.Key, d.Err) + d.abandonedSuffix()
 	default:
 		s := fmt.Sprintf("%s: %s", d.Key, d.Steady)
-		if d.Delta.Traced || d.Delta.Seeded || d.Delta.Sweeps > 0 {
+		if d.Delta.Traced || d.Delta.Sweeps > 0 {
 			s += " | delta " + d.Delta.String()
-			if d.Donor != "" {
-				s += " donor=" + d.Donor
-			}
 		}
 		return s
 	}
@@ -339,9 +323,6 @@ func runPoint(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool
 		}
 		if dd != nil && !outc.Failed {
 			d.Delta = *dd
-			if d.Delta.Seeded {
-				d.Donor = opt.donorFrom
-			}
 		}
 		opt.DiagHook(d)
 	}
@@ -350,16 +331,11 @@ func runPoint(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool
 
 // runPointLadder runs the ladder and returns the outcome together with
 // the steady- and delta-diagnostic counters of the attempt that produced
-// it. Each attempt writes fresh counter (and donor-export) targets: a
-// timed-out attempt's abandoned goroutine may still write its own
-// targets later, which must not race with reading the attempt that
-// actually finished.
+// it. Each attempt writes fresh counter targets: a timed-out attempt's
+// abandoned goroutine may still write its own targets later, which must
+// not race with reading the attempt that actually finished.
 func runPointLadder(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool, key PointKey) (PointOutcome, *cache.SteadyDiag, *cache.DeltaDiag, int) {
 	abandoned := 0
-	export := opt.deltaExport
-	if export != nil {
-		opt.deltaExport = new(*cache.DeltaDonor)
-	}
 	if opt.DiagHook != nil {
 		opt.steadyDiag = new(cache.SteadyDiag)
 		opt.deltaDiag = new(cache.DeltaDiag)
@@ -369,18 +345,11 @@ func runPointLadder(k stencil.Kernel, m core.Method, n int, opt Options, paranoi
 		abandoned++
 	}
 	if err == nil {
-		if export != nil {
-			*export = *opt.deltaExport
-		}
 		return PointOutcome{Key: key, Res: res}, opt.steadyDiag, opt.deltaDiag, abandoned
 	}
 	if !opt.DisableSteady {
-		// The fallback attempt neither consumes nor produces donors: a
-		// degraded point must not propagate anything.
 		retry := opt
 		retry.DisableSteady = true
-		retry.deltaDonor = nil
-		retry.deltaExport = nil
 		if opt.DiagHook != nil {
 			retry.steadyDiag = new(cache.SteadyDiag)
 			retry.deltaDiag = new(cache.DeltaDiag)

@@ -1,11 +1,16 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"tiling3d/internal/cache"
 	"tiling3d/internal/core"
 	"tiling3d/internal/stencil"
 )
@@ -236,6 +241,103 @@ func TestWarmShareDiagHookCoverage(t *testing.T) {
 	for key, n := range seen {
 		if n != 1 {
 			t.Errorf("point %s fired %d diagnostics", key, n)
+		}
+	}
+}
+
+// TestWarmShareResumeInvariant: which points are Shared must not depend
+// on where a sweep was cut. A compacted warm-sharing journal with one
+// point's line removed — a follower's, or its lead's — must resume to a
+// file byte-identical to the uninterrupted run's, also under paranoid
+// sampling (paranoid points never follow, so choosing them by anything
+// but grid slot would move the Shared labels).
+func TestWarmShareResumeInvariant(t *testing.T) {
+	k := stencil.Jacobi
+	base := Options{
+		L1:      cache.Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 1},
+		L2:      cache.UltraSparc2L2(),
+		K:       8,
+		NMin:    40,
+		NMax:    56,
+		NStep:   8,
+		Methods: []core.Method{core.MethodEuc3D, core.MethodPad},
+		Coeffs:  stencil.DefaultCoeffs(),
+		Sweeps:  1,
+		Workers: 1,
+	}
+	dir := t.TempDir()
+	run := func(name string, opt Options, resume bool) ([]PointOutcome, []byte) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		j, err := OpenJournal(path, opt, resume)
+		if err != nil {
+			t.Fatalf("%s: journal: %v", name, err)
+		}
+		opt.Journal = j
+		outs, err := simGrid(k, opt)
+		if err != nil {
+			t.Fatalf("%s: simGrid: %v", name, err)
+		}
+		if err := j.Compact(); err != nil {
+			t.Fatalf("%s: compact: %v", name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs, data
+	}
+
+	// Locate the grid's plan-identical group from an uninterrupted run.
+	outs, _ := run("probe", base, false)
+	var lead, follower PointKey
+	for _, o := range outs {
+		if o.Shared != "" {
+			follower = o.Key
+			lead = PointKey{Kernel: o.Key.Kernel, Method: o.Shared, N: o.Key.N}
+			break
+		}
+	}
+	if follower == (PointKey{}) {
+		t.Fatal("no point was shared: the grid has no plan-identical group")
+	}
+
+	for _, tc := range []struct {
+		name     string
+		paranoid int
+		drop     PointKey
+	}{
+		{"follower cut", 0, follower},
+		{"lead cut", 0, lead},
+		{"follower cut, paranoid every 2", 2, follower},
+		{"follower cut, paranoid every 3", 3, follower},
+	} {
+		opt := base
+		opt.ParanoidEvery = tc.paranoid
+		name := strings.NewReplacer(" ", "_", ",", "").Replace(tc.name)
+		_, clean := run(name+".clean", opt, false)
+
+		// Cut: the clean journal minus the dropped point's line.
+		lines := bytes.SplitAfter(clean, []byte("\n"))
+		var cut []byte
+		dropped := 0
+		for i, ln := range lines {
+			var o PointOutcome
+			if i > 0 && json.Unmarshal(ln, &o) == nil && o.Key == tc.drop {
+				dropped++
+				continue
+			}
+			cut = append(cut, ln...)
+		}
+		if dropped != 1 {
+			t.Fatalf("%s: %d journal lines for %s, want 1", tc.name, dropped, tc.drop)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".cut"), cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, resumed := run(name+".cut", opt, true); !bytes.Equal(resumed, clean) {
+			t.Errorf("%s: resumed journal differs from the uninterrupted run:\n--- clean ---\n%s--- resumed ---\n%s",
+				tc.name, clean, resumed)
 		}
 	}
 }

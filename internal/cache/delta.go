@@ -2,17 +2,16 @@ package cache
 
 import "fmt"
 
-// Cross-point delta simulation. A sweep point's trace decomposes into
-// PlaneMark phases, and the steady engine already keeps complete records
-// of the phases it sees: per-unit anchors (run streams modulo
-// translation), per-unit stats deltas, state pins, and the raw end
-// state. The delta layer turns those records into a reusable *sweep
+// Delta replay. A sweep point's trace decomposes into PlaneMark phases,
+// and the steady engine already keeps complete records of the phases it
+// sees: per-unit anchors (run streams modulo translation), per-unit
+// stats deltas, state pins, and the raw end state. The delta layer turns those records into a reusable *sweep
 // trace*: while tracing (the warm sweep), it notes for every phase which
 // history record reproduces it; a later identical sweep then replays
 // from the records — O(runs) anchor replays plus one state compare per
-// phase — instead of walking the workload again, and a *neighboring*
-// point whose plan is identical can be seeded with the donor's records
-// and skip straight to echoing its own warm sweep.
+// phase — instead of walking the workload again. Reuse across points is
+// not this layer's business: a plan-identical neighbor's statistics are
+// identical, so the sweep engine copies them (warm sharing) instead.
 //
 // Exactness argument, in three steps:
 //
@@ -83,7 +82,6 @@ type deltaState struct {
 // DeltaDiag counts what the delta layer did for one engine.
 type DeltaDiag struct {
 	Traced bool // a complete sweep trace was captured
-	Seeded bool // the engine was seeded from a donor's records
 
 	Sweeps          uint64 // sweeps completed by delta replay
 	Instant         uint64 // of those, via the instant-repeat cache
@@ -98,8 +96,8 @@ type DeltaDiag struct {
 
 // String renders the counters compactly for -v diagnostics.
 func (d DeltaDiag) String() string {
-	return fmt.Sprintf("traced=%v seeded=%v sweeps=%d(instant=%d) phases[commit=%d chain=%d replay=%d] units[replay=%d skip=%d] pincmp=%d fallback=%d",
-		d.Traced, d.Seeded, d.Sweeps, d.Instant, d.PhasesCommitted,
+	return fmt.Sprintf("traced=%v sweeps=%d(instant=%d) phases[commit=%d chain=%d replay=%d] units[replay=%d skip=%d] pincmp=%d fallback=%d",
+		d.Traced, d.Sweeps, d.Instant, d.PhasesCommitted,
 		d.PhasesChained, d.PhasesReplayed, d.UnitsReplayed, d.UnitsSkipped,
 		d.PinCompares, d.Fallbacks)
 }
@@ -367,179 +365,6 @@ func (s *Steady) deltaEndStateEq(r *steadyPhase) bool {
 			}
 		}
 	}
-	return true
-}
-
-// DeltaDonor is an exported, self-contained copy of a traced engine's
-// phase records, consumable by SeedDelta on a fresh engine simulating a
-// plan-identical point. It is immutable after export and safe to share
-// across goroutines (SeedDelta deep-copies).
-type DeltaDonor struct {
-	sets  []int
-	assoc []int
-	shift []uint
-	cfgs  []Config
-	recs  []donorRec
-	order []int // ref sequence → recs index
-	bytes int64
-}
-
-// donorRec is one deep-copied phase record plus the anchors it needs,
-// with each anchor's original unit preserved (offsets depend on it).
-type donorRec struct {
-	delta    int64
-	planes   int
-	level    int
-	anchors  []donorAnchor
-	deltas   [][]Stats
-	pins     []steadyPin
-	endTags  [][]int64
-	endDirty [][]bool
-	endStamp [][]uint64
-}
-
-type donorAnchor struct {
-	unit int
-	runs []Run
-}
-
-// maxDonorBytes caps an exported donor's approximate footprint; points
-// whose records exceed it simply do not donate.
-const maxDonorBytes = 128 << 20
-
-// ExportDelta deep-copies the traced sweep's records into a donor, or
-// returns nil when no complete trace exists or the copy would be too
-// large.
-func (s *Steady) ExportDelta() *DeltaDonor {
-	d := &s.dl
-	if !d.traced || !s.deltaRefsValid() {
-		return nil
-	}
-	dn := &DeltaDonor{}
-	for _, c := range s.levels {
-		dn.sets = append(dn.sets, c.sets)
-		dn.assoc = append(dn.assoc, c.assoc)
-		dn.shift = append(dn.shift, c.lineShift)
-		dn.cfgs = append(dn.cfgs, c.cfg)
-	}
-	slotRec := make(map[int]int) // hist slot → recs index
-	for _, ref := range d.refs {
-		ri, ok := slotRec[ref.slot]
-		if !ok {
-			r := &s.hist[ref.slot]
-			ri = len(dn.recs)
-			slotRec[ref.slot] = ri
-			dr := donorRec{delta: r.delta, planes: r.planes, level: r.level}
-			for _, ai := range r.anchors {
-				a := &s.anchors[ai]
-				dr.anchors = append(dr.anchors, donorAnchor{
-					unit: a.unit,
-					runs: append([]Run(nil), a.runs...),
-				})
-				dn.bytes += int64(len(a.runs)) * 32
-			}
-			for _, ds := range r.deltas {
-				dr.deltas = append(dr.deltas, append([]Stats(nil), ds...))
-				dn.bytes += int64(len(ds)) * 48
-			}
-			for _, p := range r.pins {
-				cp := steadyPin{unit: p.unit}
-				for _, lv := range p.data {
-					cp.data = append(cp.data, append([]int64(nil), lv...))
-					dn.bytes += int64(len(lv)) * 8
-				}
-				dr.pins = append(dr.pins, cp)
-			}
-			for li := range s.levels {
-				dr.endTags = append(dr.endTags, append([]int64(nil), r.endTags[li]...))
-				dr.endDirty = append(dr.endDirty, append([]bool(nil), r.endDirty[li]...))
-				dr.endStamp = append(dr.endStamp, append([]uint64(nil), r.endStamp[li]...))
-				dn.bytes += int64(len(r.endTags[li])) * 17
-			}
-			dn.recs = append(dn.recs, dr)
-		}
-		dn.order = append(dn.order, ri)
-	}
-	if dn.bytes > maxDonorBytes || len(dn.recs) > steadyHistory {
-		return nil
-	}
-	return dn
-}
-
-// SeedDelta installs a donor's records into a fresh engine's phase
-// history and anchor table, so the engine's own warm sweep — which is
-// byte-identical to the donor's, plans being identical — echoes from
-// the first matching pin instead of simulating, and its own trace
-// capture re-references the seeded slots. Returns false (and installs
-// nothing) unless the engine is untouched and geometry-compatible.
-// Seeding never risks exactness: seeded records are matched by the same
-// pin/verification machinery as native ones, and divergence simply
-// re-records over them.
-func (s *Steady) SeedDelta(dn *DeltaDonor) bool {
-	if dn == nil || len(dn.recs) == 0 || len(dn.recs) > steadyHistory {
-		return false
-	}
-	if s.mode != steadyIdle || s.nAnchors != 0 || s.histSeq != 0 {
-		return false
-	}
-	if len(dn.sets) != len(s.levels) {
-		return false
-	}
-	nAnchors := 0
-	for li, c := range s.levels {
-		if dn.sets[li] != c.sets || dn.assoc[li] != c.assoc ||
-			dn.shift[li] != c.lineShift || dn.cfgs[li] != c.cfg {
-			return false
-		}
-	}
-	for _, dr := range dn.recs {
-		nAnchors += len(dr.anchors)
-	}
-	if nAnchors > maxSteadyAnchors-8 {
-		return false
-	}
-	if s.hist == nil {
-		s.hist = make([]steadyPhase, steadyHistory)
-	}
-	for i, dr := range dn.recs {
-		r := &s.hist[i]
-		s.histSeq++
-		r.valid, r.seq, r.gen = true, s.histSeq, r.gen+1
-		r.delta, r.planes, r.level = dr.delta, dr.planes, dr.level
-		r.anchors = r.anchors[:0]
-		for _, a := range dr.anchors {
-			if s.nAnchors == len(s.anchors) {
-				s.anchors = append(s.anchors, steadyAnchor{})
-			}
-			s.anchors[s.nAnchors].unit = a.unit
-			s.anchors[s.nAnchors].runs = append(s.anchors[s.nAnchors].runs[:0], a.runs...)
-			r.anchors = append(r.anchors, s.nAnchors)
-			s.nAnchors++
-		}
-		r.deltas = r.deltas[:0]
-		for _, ds := range dr.deltas {
-			r.deltas = append(r.deltas, append([]Stats(nil), ds...))
-		}
-		r.pins = r.pins[:0]
-		for _, p := range dr.pins {
-			cp := steadyPin{unit: p.unit}
-			for _, lv := range p.data {
-				cp.data = append(cp.data, append([]int64(nil), lv...))
-			}
-			r.pins = append(r.pins, cp)
-		}
-		if r.endTags == nil {
-			r.endTags = make([][]int64, len(s.levels))
-			r.endDirty = make([][]bool, len(s.levels))
-			r.endStamp = make([][]uint64, len(s.levels))
-		}
-		for li := range s.levels {
-			r.endTags[li] = append(r.endTags[li][:0], dr.endTags[li]...)
-			r.endDirty[li] = append(r.endDirty[li][:0], dr.endDirty[li]...)
-			r.endStamp[li] = append(r.endStamp[li][:0], dr.endStamp[li]...)
-		}
-	}
-	s.dl.diag.Seeded = true
 	return true
 }
 

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Differential tests for the cross-point delta layer: a sweep replayed
+// Differential tests for the delta-replay layer: a sweep replayed
 // from the traced phase records must be indistinguishable — statistics
-// and final cache state — from replaying the walker, for native traces,
-// donor-seeded engines, and every fallback path.
+// and final cache state — from replaying the walker, for native traces
+// and every fallback path.
 
 // deltaPhase replays one marked phase: planes units of two lockstep
 // runs, consecutive units translating by delta bytes, tagged level.
@@ -83,85 +83,6 @@ func TestDeltaReplayDifferential(t *testing.T) {
 	}
 	if d.Instant == 0 {
 		t.Errorf("fixed point never reached the instant-repeat cache: %s", d)
-	}
-}
-
-// TestDeltaDonorSeed: a fresh engine seeded with a donor's records must
-// echo its own (byte-identical) warm sweep and still match raw exactly.
-func TestDeltaDonorSeed(t *testing.T) {
-	_, _, lead := newDeltaPair()
-	lead.DeltaTraceBegin()
-	deltaSweep(lead)
-	if !lead.DeltaTraceEnd() {
-		t.Fatal("lead trace incomplete")
-	}
-	dn := lead.ExportDelta()
-	if dn == nil {
-		t.Fatal("lead exported no donor")
-	}
-
-	raw, st, sd := newDeltaPair()
-	if !sd.SeedDelta(dn) {
-		t.Fatal("fresh engine refused the donor")
-	}
-	sd.DeltaTraceBegin()
-	deltaSweep(sd)
-	traced := sd.DeltaTraceEnd()
-	deltaSweep(raw)
-	raw.ResetStats()
-	st.ResetStats()
-	for s := 0; s < 3; s++ {
-		deltaSweep(raw)
-		if !traced || !sd.ReplayDeltaSweep() {
-			deltaSweep(sd)
-		}
-	}
-	assertDeltaEqual(t, "seeded follower", raw, st)
-	d := sd.DeltaInfo()
-	if !d.Seeded {
-		t.Errorf("follower diag lost the seed marker: %s", d)
-	}
-	if !traced {
-		t.Errorf("seeded follower failed to re-trace its warm sweep: %s", d)
-	}
-}
-
-// TestDeltaSeedGuards: seeding must refuse engines that are not fresh
-// and donors with mismatched geometry, without corrupting anything.
-func TestDeltaSeedGuards(t *testing.T) {
-	_, _, lead := newDeltaPair()
-	lead.DeltaTraceBegin()
-	deltaSweep(lead)
-	lead.DeltaTraceEnd()
-	dn := lead.ExportDelta()
-	if dn == nil {
-		t.Fatal("no donor")
-	}
-
-	// Not fresh: the engine has recorded phase history of its own
-	// (seeding would clobber slots 0..n-1).
-	raw, st, sd := newDeltaPair()
-	sd.DeltaTraceBegin()
-	deltaSweep(sd)
-	sd.DeltaTraceEnd()
-	if sd.SeedDelta(dn) {
-		t.Error("used engine accepted a seed")
-	}
-	deltaSweep(raw)
-	deltaSweep(raw)
-	if !sd.ReplayDeltaSweep() {
-		deltaSweep(sd)
-	}
-	assertDeltaEqual(t, "refused seed (used engine)", raw, st)
-
-	// Wrong geometry.
-	other := MustHierarchy(Config{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 1})
-	so := NewSteady(other)
-	if so.SeedDelta(dn) {
-		t.Error("geometry-mismatched engine accepted a seed")
-	}
-	if so.SeedDelta(nil) {
-		t.Error("nil donor accepted")
 	}
 }
 

@@ -259,10 +259,9 @@ type Steady struct {
 	scratchStamp []uint64
 	wayStamp     []uint64
 
-	// dl is the cross-point delta layer (delta.go): while tracing it
-	// notes, per phase of a warm sweep, which history record reproduces
-	// the phase, so later identical sweeps — in this engine or in a
-	// neighboring point's engine seeded from this one — replay from the
+	// dl is the delta-replay layer (delta.go): while tracing it notes,
+	// per phase of a warm sweep, which history record reproduces the
+	// phase, so later identical sweeps in this engine replay from the
 	// records instead of the walker.
 	dl deltaState
 
