@@ -93,27 +93,9 @@ func SimulateStats(k stencil.Kernel, m core.Method, n int, opt Options) SimResul
 	w := stencil.NewTraceWorkload(k, n, opt.K, plan)
 	h := cacheHierarchy(opt)
 	sink := opt.simSink(h)
-	sweeps := opt.Sweeps
-	if sweeps <= 0 {
-		sweeps = 1
-	}
+	sweeps := max(opt.Sweeps, 1)
+	opt.measure(sink, h.ResetStats, sweeps, w.ReplayTrace)
 	sd, _ := sink.(*cache.Steady)
-	useDelta := sd != nil && !opt.DisableDelta
-	if useDelta {
-		sd.DeltaTraceBegin()
-	}
-	w.ReplayTrace(sink) // warm-up: exclude cold misses, as a long run would
-	traced := useDelta && sd.DeltaTraceEnd()
-	h.ResetStats()
-	for s := 0; s < sweeps; s++ {
-		// Delta replay reproduces the whole sweep from the traced phase
-		// records when every record validates; otherwise (or with no
-		// trace) the sweep replays through the walker as before.
-		if traced && sd.ReplayDeltaSweep() {
-			continue
-		}
-		w.ReplayTrace(sink)
-	}
 	if opt.steadyDiag != nil && sd != nil {
 		*opt.steadyDiag = sd.Diag()
 	}

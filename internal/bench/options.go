@@ -111,8 +111,9 @@ type Options struct {
 	DiagHook func(PointDiag)
 
 	// pointHook, when non-nil, runs after each point completes and is
-	// journaled, with the number of points finished so far. Tests use it
-	// to cancel mid-sweep at a deterministic spot.
+	// journaled, with the number of points finished so far; calls are
+	// serialized. Tests use it to cancel mid-sweep at a deterministic
+	// spot.
 	pointHook func(done int)
 	// steadyDiag, when non-nil, is filled by SimulateStats with the
 	// steady sink's diagnostic counters (zero when the steady engine is
@@ -263,6 +264,31 @@ func (o Options) simSink(h *cache.Hierarchy) cache.RunSink {
 		return h
 	}
 	return cache.NewSteady(h)
+}
+
+// measure runs the paper's measurement schedule (Section 4.2) on one
+// sink: a warm-up sweep (excluding cold misses, as a long run would),
+// reset, then max(sweeps, 1) measured sweeps. walk replays one sweep of
+// the workload into the sink it is given. Every repeated-sweep
+// simulation in this package goes through here, so when the sink is a
+// steady engine and delta replay is on, the warm sweep is traced and
+// each measured sweep replays from the traced phase records when they
+// validate, walking again otherwise.
+func (o Options) measure(sink cache.RunSink, reset func(), sweeps int, walk func(cache.RunSink)) {
+	sd, _ := sink.(*cache.Steady)
+	delta := sd != nil && !o.DisableDelta
+	if delta {
+		sd.DeltaTraceBegin()
+	}
+	walk(sink)
+	traced := delta && sd.DeltaTraceEnd()
+	reset()
+	for s := 0; s < max(sweeps, 1); s++ {
+		if traced && sd.ReplayDeltaSweep() {
+			continue
+		}
+		walk(sink)
+	}
 }
 
 // simSinkCache is simSink for a single-level cache.

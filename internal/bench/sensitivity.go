@@ -38,27 +38,13 @@ func AssocSensitivity(k stencil.Kernel, n int, assocs []int, opt Options) []Asso
 		w := stencil.NewTraceWorkload(k, n, opt.K, plan)
 		rec.Reset()
 		w.ReplayTrace(&rec)
-		caches := make([]*cache.Cache, len(assocs))
-		sinks := make([]cache.RunSink, len(assocs))
-		for i, a := range assocs {
+		forEachCtx(opt, len(assocs), func(i int) {
 			cfg := opt.L1
-			cfg.Assoc = a
-			caches[i] = cache.MustNew(cfg) //lint:allow mustcheck -- capacity/line vetted upstream; assoc divides by construction
-			sinks[i] = opt.simSinkCache(caches[i])
-		}
-		replay := func() {
-			forEachCtx(opt, len(sinks), func(i int) {
-				rec.ReplayInto(sinks[i])
-			})
-		}
-		replay() // warm-up
-		for _, c := range caches {
-			c.ResetStats()
-		}
-		replay()
-		for i, c := range caches {
+			cfg.Assoc = assocs[i]
+			c := cache.MustNew(cfg) //lint:allow mustcheck -- capacity/line vetted upstream; assoc divides by construction
+			opt.measure(opt.simSinkCache(c), c.ResetStats, 1, rec.ReplayInto)
 			set(&out[i], c.Stats().MissRate())
-		}
+		})
 	}
 	run(core.Orig, func(p *AssocPoint, r float64) { p.Orig = r })
 	run(core.MethodTile, func(p *AssocPoint, r float64) { p.Tile = r })
@@ -82,10 +68,7 @@ func CrossInterference(n int, opt Options) CrossPoint {
 	plan := opt.Plan(k, core.MethodGcdPad, n)
 	h := func(w *stencil.Workload) float64 {
 		hh := cacheHierarchy(opt)
-		sink := opt.simSink(hh)
-		w.ReplayTrace(sink)
-		hh.ResetStats()
-		w.ReplayTrace(sink)
+		opt.measure(opt.simSink(hh), hh.ResetStats, 1, w.ReplayTrace)
 		return hh.Level(0).Stats().MissRate()
 	}
 	def := stencil.NewTraceWorkload(k, n, opt.K, plan)

@@ -154,18 +154,16 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 	finished := 0
 	record := func(outc PointOutcome) {
 		// ForEachCtx serializes nothing between workers; the journal
-		// locks internally, and the hook sees a consistent counter
-		// because recordMu orders the increments.
+		// locks internally, and recordMu orders the counter and the
+		// (test-only) hook calls, so a hook needs no locking of its own.
 		recordMu.Lock()
+		defer recordMu.Unlock()
 		if opt.Journal != nil {
 			opt.Journal.Record(outc)
 		}
 		finished++
-		n := finished
-		hook := opt.pointHook
-		recordMu.Unlock()
-		if hook != nil {
-			hook(n)
+		if opt.pointHook != nil {
+			opt.pointHook(finished)
 		}
 	}
 
@@ -444,15 +442,8 @@ func simParanoid(k stencil.Kernel, m core.Method, n int, opt Options) (SimResult
 	w := stencil.NewTraceWorkload(k, n, opt.K, plan)
 	h := cacheHierarchy(opt)
 	sc := cache.NewSelfCheck(h)
-	sweeps := opt.Sweeps
-	if sweeps <= 0 {
-		sweeps = 1
-	}
-	w.ReplayTrace(sc)
-	sc.ResetStats()
-	for s := 0; s < sweeps; s++ {
-		w.ReplayTrace(sc)
-	}
+	sweeps := max(opt.Sweeps, 1)
+	opt.measure(sc, sc.ResetStats, sweeps, w.ReplayTrace)
 	if err := sc.Check(); err != nil {
 		return SimResult{}, fmt.Errorf("bench: point %s/%s N=%d: %w", k, m, n, err)
 	}

@@ -32,17 +32,13 @@ func TwoDSeries(sizes []int, l1 cache.Config, opt Options) []TwoDPoint {
 			a := arena.Place2D(grid.New2D(n, n))
 			b := arena.Place2D(grid.New2D(n, n))
 			h := cache.MustHierarchy(l1) //lint:allow mustcheck -- l1 comes from validated Options
-			sink := opt.simSink(h)
-			trace := func() {
+			opt.measure(opt.simSink(h), h.ResetStats, 1, func(sink cache.RunSink) {
 				if tiled {
 					stencil.Jacobi2DTiledRuns(a, b, sink, cs/8)
 				} else {
 					stencil.Jacobi2DOrigRuns(a, b, sink)
 				}
-			}
-			trace()
-			h.ResetStats()
-			trace()
+			})
 			return h.Level(0).Stats().MissRate()
 		}
 		out[i] = TwoDPoint{N: n, Orig: run(false), Tiled: run(true)}

@@ -2,34 +2,33 @@ package cache
 
 import "fmt"
 
-// Delta replay. A sweep point's trace decomposes into PlaneMark phases,
-// and the steady engine already keeps complete records of the phases it
-// sees: per-unit anchors (run streams modulo translation), per-unit
-// stats deltas, state pins, and the raw end state. The delta layer turns those records into a reusable *sweep
-// trace*: while tracing (the warm sweep), it notes for every phase which
-// history record reproduces it; a later identical sweep then replays
-// from the records — O(runs) anchor replays plus one state compare per
-// phase — instead of walking the workload again. Reuse across points is
-// not this layer's business: a plan-identical neighbor's statistics are
-// identical, so the sweep engine copies them (warm sharing) instead.
+// Delta replay. A sweep point's trace decomposes into PlaneMark phases.
+// While tracing (the warm sweep), the steady engine keeps a complete
+// record of every phase it sees: per-unit anchors (run streams modulo
+// translation), per-unit stats deltas, state pins, and the raw end
+// state. The delta layer turns those records into a reusable *sweep
+// trace*: it notes for every phase which history record reproduces it,
+// and a later identical sweep then replays from the records — O(runs)
+// anchor replays plus one state compare per phase — instead of walking
+// the workload again. Reuse across points is not this layer's business:
+// a plan-identical neighbor's statistics are identical, so the sweep
+// engine copies them (warm sharing) instead.
 //
 // Exactness argument, in three steps:
 //
-//  1. A ref is only committed whole-phase: either the phase ended by
-//     archiving its complete record (endPhase → insertRecord, every unit
-//     anchored) or it ended by echoing a record (echoCommit), which is
-//     already verified to be an exact repeat. Either way the referenced
-//     record reproduces the phase's stream, stats, and end state from
-//     the phase's entry state.
+//  1. A ref is only committed whole-phase: the phase ended by archiving
+//     its complete record (endPhase → insertRecord, every unit
+//     anchored), so the referenced record reproduces the phase's stream,
+//     stats, and end state from the phase's entry state.
 //  2. Replaying a later sweep: the workload's trace is a pure function
 //     of its plan, so the sweep's stream is byte-identical to the traced
 //     warm sweep's. For each phase the engine replays the record's
 //     anchors unit by unit — this IS the phase's stream, so the live
 //     state evolves exactly as full simulation would — until the live
 //     state equals one of the record's pins (raw order-normalized
-//     equality, the phase-echo entry check). From the pin on, the
-//     remainder is the recorded remainder: stats deltas are summed and
-//     the recorded end state restored.
+//     equality). From the pin on, the remainder is the recorded
+//     remainder: stats deltas are summed and the recorded end state
+//     restored.
 //  3. Chaining: once one phase of the replay has committed via a pin
 //     (or a full replay landed exactly on the record's end state), the
 //     live state equals the record's end state — which is, by step 1,
@@ -110,10 +109,10 @@ func (s *Steady) DeltaInfo() DeltaDiag {
 }
 
 // DeltaTraceBegin arms trace capture: the next sweep fed through the
-// engine (normally the warm sweep) is traced phase by phase. Tracing
-// forces the engine to record even budget-refused and pin-less phases,
-// so the trace can be complete for streams whose phases the steady
-// machinery would otherwise replay without recording.
+// engine (normally the warm sweep) is traced phase by phase. The engine
+// records phases only while tracing, and then records every phase —
+// budget-refused, not viable for detection, and pin-less ones included —
+// so the trace can be complete.
 func (s *Steady) DeltaTraceBegin() {
 	s.dl.tracing = true
 	s.dl.ok = true
@@ -138,7 +137,7 @@ func (s *Steady) DeltaTraceEnd() bool {
 }
 
 // deltaNote records that the phase just ended is reproduced by history
-// slot v. Called from endPhase (after insertRecord) and echoCommit.
+// slot v. Called from endPhase, after insertRecord.
 func (s *Steady) deltaNote(v int) {
 	d := &s.dl
 	if !d.tracing || !d.ok {
@@ -327,9 +326,9 @@ func phasePinAt(r *steadyPhase, u int) *steadyPin {
 
 // deltaCommitFrom adds the recorded per-unit stats deltas of units
 // from+1..planes-1 (all units when from < 0) and restores the record's
-// raw end state — the phase-echo commit, driven by the replay loop
-// instead of live verification (the stream identity is established by
-// the workload's determinism, enforced differentially in tests).
+// raw end state. No live verification: the stream identity is
+// established by the workload's determinism, enforced differentially in
+// tests.
 func (s *Steady) deltaCommitFrom(r *steadyPhase, from int) {
 	for u := from + 1; u < r.planes; u++ {
 		for li, dd := range r.deltas[u] {

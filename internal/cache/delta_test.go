@@ -86,42 +86,50 @@ func TestDeltaReplayDifferential(t *testing.T) {
 	}
 }
 
-// TestDeltaStaleRefsFallBack: records evicted from the history after
-// tracing (LRU replacement by a flood of new phase shapes) must fail
-// validation — the replay refuses without mutating state and full
-// simulation stays exact.
+// TestDeltaStaleRefsFallBack: a record slot rewritten after the trace
+// noted it must fail validation — the replay refuses without mutating
+// state and full simulation stays exact. Both rewrites happen inside
+// the traced sweep itself.
 func TestDeltaStaleRefsFallBack(t *testing.T) {
-	// More distinct phase shapes than the history holds. Each phase is
-	// budget-refused on its first sighting and recorded via echo-assist
-	// on its second, so two flood sweeps evict every traced slot.
-	flood := func(sink RunSink) {
-		for i := 0; i < steadyHistory+4; i++ {
-			deltaPhase(sink, 1<<26+int64(i)<<20, 3, int64(8+8*i), 0)
+	for _, tc := range []struct {
+		name  string
+		sweep func(RunSink)
+	}{
+		// More distinct phase shapes than the history holds: the last
+		// phases evict (LRU) the records the first phases noted.
+		{"evicted", func(sink RunSink) {
+			deltaSweep(sink)
+			for i := 0; i < steadyHistory; i++ {
+				deltaPhase(sink, 1<<26+int64(i)<<20, 3, int64(8+8*i), 0)
+			}
+		}},
+		// A repeat of the first phase's shape rewrites its slot in place,
+		// so only the slot generation tells the first ref is stale.
+		{"rewritten", func(sink RunSink) {
+			deltaSweep(sink)
+			deltaPhase(sink, 0, 12, 4096, 0)
+		}},
+	} {
+		raw, st, sd := newDeltaPair()
+		sd.DeltaTraceBegin()
+		tc.sweep(sd)
+		if !sd.DeltaTraceEnd() {
+			t.Fatalf("%s: trace incomplete", tc.name)
 		}
-	}
-	raw, st, sd := newDeltaPair()
-	sd.DeltaTraceBegin()
-	deltaSweep(sd)
-	if !sd.DeltaTraceEnd() {
-		t.Fatal("trace incomplete")
-	}
-	deltaSweep(raw)
-	flood(sd)
-	flood(sd)
-	flood(raw)
-	flood(raw)
-	raw.ResetStats()
-	st.ResetStats()
-	for s := 0; s < 2; s++ {
-		deltaSweep(raw)
-		if sd.ReplayDeltaSweep() {
-			t.Fatal("stale refs accepted")
+		tc.sweep(raw)
+		raw.ResetStats()
+		st.ResetStats()
+		for s := 0; s < 2; s++ {
+			tc.sweep(raw)
+			if sd.ReplayDeltaSweep() {
+				t.Fatalf("%s: stale refs accepted", tc.name)
+			}
+			tc.sweep(sd)
 		}
-		deltaSweep(sd)
-	}
-	assertDeltaEqual(t, "stale-ref fallback", raw, st)
-	if d := sd.DeltaInfo(); d.Fallbacks == 0 {
-		t.Errorf("no fallback counted: %s", d)
+		assertDeltaEqual(t, tc.name+" stale-ref fallback", raw, st)
+		if d := sd.DeltaInfo(); d.Fallbacks == 0 {
+			t.Errorf("%s: no fallback counted: %s", tc.name, d)
+		}
 	}
 }
 

@@ -37,25 +37,13 @@ import "fmt"
 //             uncommitted verified units are replayed from the ring, and
 //             the engine falls back to live replay.
 //   live      plain replay until the phase ends.
-//   echo      cross-phase skip. Experiments replay the same trace more
-//             than once (a warm sweep then a measured sweep), so the
-//             engine also keeps complete records of recent phases: the
-//             anchor and stats delta of every unit, plus a few "pins" —
-//             order-normalized copies of the cache state at chosen unit
-//             boundaries. When a later phase has matched a record unit
-//             for unit and its live state equals one of the record's
-//             pins (raw equality, no translation: the streams are
-//             identical), the rest of the phase is known exactly: each
-//             remaining unit's stats equal the recorded deltas and the
-//             final state equals the recorded phase's end state. The
-//             engine verifies the remaining stream against the record,
-//             then adds the summed deltas and restores the saved end
-//             state. Echo rescues the phases plane-cycle detection
-//             cannot — pathologically padded strides (t0 too large),
-//             short tiled phases, irregular final tiles — because
-//             cross-phase repetition needs no translation alignment at
-//             all; it also beats detection's warm-up on repeat sweeps
-//             of viable phases, so every recorded phase pins.
+//
+// While delta-tracing (delta.go) observation also keeps a complete
+// record of every phase — per-unit anchors and stats deltas, a few
+// order-normalized state pins, and the raw end state — which delta
+// replay reproduces later sweeps from. Outside a trace nothing reads
+// those records, so none are kept, and a phase that detection refuses
+// goes live at once.
 //
 // Exactness argument: the full normalized state comparison establishes
 // S_q == translate(S_p, TΔ) for p = q-T, and the per-batch verification
@@ -111,7 +99,6 @@ const (
 	steadyIdle steadyMode = iota
 	steadyObserve
 	steadySkip
-	steadyEcho
 	steadyLive
 )
 
@@ -150,9 +137,9 @@ type steadySnap struct {
 }
 
 // steadyPin is an order-normalized encoding of the full cache state at
-// the end of one phase unit (encodeLevel with zero translation). Pins
-// are what a later identical phase compares its live state against to
-// enter echo mode.
+// the end of one phase unit (encodeLevel with zero translation). Delta
+// replay compares its live state against a record's pins to find where
+// the rest of the phase is known exactly.
 type steadyPin struct {
 	unit int
 	data [][]int64
@@ -171,7 +158,7 @@ type steadyPhase struct {
 	anchors []int
 	deltas  [][]Stats
 	pins    []steadyPin
-	// The raw state at the end of the recorded phase. An echoed phase
+	// The raw state at the end of the recorded phase. A replayed phase
 	// repeats the recorded stream from the matched pin on, so it ends in
 	// exactly this state (stamp values are stale but their order — all
 	// that affects behavior — is preserved).
@@ -207,12 +194,9 @@ type Steady struct {
 	t0      int
 	aViable bool // plane-cycle detection possible for this phase
 
-	// pinsOK gates the O(slots) echo pins, which per-tile phases cannot
-	// amortize.
+	// pinsOK gates the O(slots) record pins, which per-tile phases
+	// cannot amortize.
 	pinsOK bool
-	// refusedShapes counts budget-gate refusals per phase shape so a
-	// repeated sweep of a refused phase records for cross-phase echo.
-	refusedShapes map[[3]int64]uint8
 
 	diag SteadyDiag
 
@@ -228,22 +212,16 @@ type Steady struct {
 	anchors  []steadyAnchor
 	nAnchors int
 
-	// Cross-phase echo state: the history of recent phase records, the
-	// record being assembled for the current phase, the saved
-	// phase-start state (to restore on echo completion), and the
-	// candidate records the current phase still matches unit for unit.
+	// Phase records, kept only while delta-tracing: the history of
+	// recent records and the record being assembled for the current
+	// phase (curRecOK: still complete).
 	hist       []steadyPhase
 	histSeq    uint64
-	candAlive  []bool
-	candInit   bool
 	curAnchors []int
 	curDeltas  [][]Stats
 	curPins    []steadyPin
 	curRecOK   bool
 	encScratch [][]int64
-	echoRec    int
-	echoFrom   int
-	echoPend   []Stats
 
 	period       int
 	confirmUnit  int
@@ -267,7 +245,6 @@ type Steady struct {
 
 	skipped uint64
 	cycles  uint64
-	echoes  uint64
 }
 
 // maxUnitRuns bounds the recorded pattern of a single unit; a phase
@@ -277,11 +254,11 @@ type Steady struct {
 // under the cap.
 const maxUnitRuns = 4 << 20
 
-// steadyHistory bounds the phase records kept for cross-phase echo. The
-// paper's single-grid workloads need at most two live shapes (red-black
-// passes); a multigrid V-cycle carries one smoother/residual/transfer
-// shape per grid level (~13 at LM=7), and the delta layer needs every
-// phase of a traced sweep resident at once.
+// steadyHistory bounds the phase records kept for delta replay, which
+// needs every phase of a traced sweep resident at once. The paper's
+// single-grid workloads trace at most two shapes (red-black passes); a
+// multigrid V-cycle carries one smoother/residual/transfer shape per
+// grid level (~13 at LM=7).
 const steadyHistory = 16
 
 // maxSteadyAnchors bounds the engine-lifetime anchor table. Anchors are
@@ -325,18 +302,17 @@ func newSteady(raw RunSink, levels []*Cache) *Steady {
 }
 
 // SteadyDiag classifies how the engine handled the phases it saw:
-// confirmed plane cycles, completed echoes, and refusals by cause.
-// Refusal counters are per phase; a phase can both refuse detection
-// (RefusedT0) and later echo.
+// confirmed plane cycles and refusals by cause. Refusal counters are
+// per phase.
 type SteadyDiag struct {
 	Phases    uint64 // phases reaching the first marker
 	Confirmed uint64 // plane cycles confirmed
-	// ScopedConfirms and SweepEchoes are always 0: the footprint-scoped
-	// confirms and whole-sweep echoes they counted are no longer engine
-	// layers. The fields remain so readers of them (the perfbench probe)
-	// keep compiling.
+	// ScopedConfirms, Echoes and SweepEchoes are always 0: the
+	// footprint-scoped confirms, cross-phase echoes and whole-sweep
+	// echoes they counted are no longer engine layers. The fields remain
+	// so readers of them (the perfbench probe) keep compiling.
 	ScopedConfirms uint64
-	Echoes         uint64 // phases completed by cross-phase echo
+	Echoes         uint64
 	SweepEchoes    uint64
 	RefusedDelta   uint64 // no uniform translation (Δ=0/mixed) or <2 units
 	RefusedBudget  uint64 // unit work too small to amortize detection
@@ -346,8 +322,8 @@ type SteadyDiag struct {
 
 // String renders the counters compactly for -v diagnostics.
 func (d SteadyDiag) String() string {
-	return fmt.Sprintf("phases=%d confirmed=%d echoes=%d refused[delta=%d budget=%d t0=%d short=%d]",
-		d.Phases, d.Confirmed, d.Echoes,
+	return fmt.Sprintf("phases=%d confirmed=%d refused[delta=%d budget=%d t0=%d short=%d]",
+		d.Phases, d.Confirmed,
 		d.RefusedDelta, d.RefusedBudget, d.RefusedT0, d.RefusedShort)
 }
 
@@ -355,7 +331,6 @@ func (d SteadyDiag) String() string {
 func (s *Steady) Diag() SteadyDiag {
 	d := s.diag
 	d.Confirmed = s.cycles
-	d.Echoes = s.echoes
 	return d
 }
 
@@ -365,9 +340,6 @@ func (s *Steady) SkippedPlanes() uint64 { return s.skipped }
 
 // Cycles returns the number of confirmed steady-state cycles.
 func (s *Steady) Cycles() uint64 { return s.cycles }
-
-// Echoes returns the number of phases completed by cross-phase echo.
-func (s *Steady) Echoes() uint64 { return s.echoes }
 
 // ReplayRuns feeds one batch through the engine.
 func (s *Steady) ReplayRuns(runs []Run) {
@@ -408,8 +380,6 @@ func (s *Steady) ReplayRuns(runs []Run) {
 		}
 	case steadySkip:
 		s.verifyBatch(runs)
-	case steadyEcho:
-		s.echoVerify(runs)
 	case steadyLive:
 		s.replay(runs)
 	}
@@ -427,8 +397,6 @@ func (s *Steady) PlaneMark(mk PlaneMark) {
 		s.observeMark(mk)
 	case steadySkip:
 		s.skipMark(mk)
-	case steadyEcho:
-		s.echoMark(mk)
 	case steadyLive:
 		if mk.Index >= mk.Planes-1 {
 			s.mode = steadyIdle
@@ -458,8 +426,7 @@ func (s *Steady) beginPhase() {
 	s.curAnchors = s.curAnchors[:0]
 	s.curDeltas = s.curDeltas[:0]
 	s.curPins = s.curPins[:0]
-	s.curRecOK = true
-	s.candInit = false
+	s.curRecOK = s.dl.tracing
 	s.pinsOK = true
 }
 
@@ -518,11 +485,6 @@ func (s *Steady) observeMark(mk PlaneMark) {
 	}
 	s.finishUnit()
 	if s.mode == steadyObserve {
-		if s.tryEcho() {
-			s.unit++
-			s.started = false
-			return
-		}
 		s.capturePin()
 		if s.aViable && s.unit%s.t0 == 0 {
 			s.takeSnapshot()
@@ -545,8 +507,10 @@ func (s *Steady) observeMark(mk PlaneMark) {
 
 // phaseViable decides, at the first marker, whether detection is worth
 // attempting for this phase: plane-cycle detection (aViable) needs the
-// translation alignment t0 to fit and enough planes to amortize it;
-// phases that fail that can still be recorded for cross-phase echo.
+// translation alignment t0 to fit and enough planes to amortize it.
+// Phases that fail that go live, except while delta-tracing, where they
+// are still recorded (detection off): the trace needs a record of every
+// phase to reproduce the sweep.
 func (s *Steady) phaseViable() bool {
 	s.diag.Phases++
 	// A phase with no uniform translation (Δ <= 0: mismatched strides,
@@ -586,14 +550,9 @@ func (s *Steady) phaseViable() bool {
 	}
 	if !budget {
 		s.diag.RefusedBudget++
-		if !s.echoAssist() && !s.dl.tracing {
+		if !s.dl.tracing {
 			return false
 		}
-		// A sweep of this shape refused before (or a record of it
-		// exists): record anyway so cross-phase echo can confirm the
-		// repeat instead of replaying it in full. While delta-tracing,
-		// record on the first sighting: the trace needs a record of
-		// every phase to reproduce the sweep.
 	}
 	if s.nAnchors > maxSteadyAnchors-8 {
 		// Recycle the anchor table between phases so streams with many
@@ -621,49 +580,21 @@ func (s *Steady) phaseViable() bool {
 				s.diag.RefusedShort++
 			}
 		}
-		if s.planes < 3 && !s.dl.tracing {
-			// Two units cannot carry a pin (pins exclude the first and
-			// last unit), so there is nothing cross-phase echo could use.
-			// The delta layer still wants the record: its replay path can
-			// reproduce a pin-less phase from the anchors alone.
+		if !s.dl.tracing {
 			return false
 		}
 	}
-	// Echo pins cost O(slots) each; a phase whose total work cannot
+	// Record pins cost O(slots) each; a phase whose total work cannot
 	// amortize that (per-tile phases against a large L2) skips them and
-	// relies on within-phase detection alone. Echo-assisted phases pin
-	// regardless: the repeat of the whole phase is what is at stake.
+	// relies on within-phase detection alone. Budget-refused phases,
+	// recorded only because a trace is on, pin regardless: replaying the
+	// whole phase is what is at stake.
 	s.pinsOK = !budget || s.curAcc*int64(s.planes) >= int64(s.slots)*16
 	if s.ring == nil {
 		s.ring = make([]steadyPat, s.MaxPeriod+1)
 		s.snaps = make([]steadySnap, s.MaxPeriod+1)
 	}
 	return true
-}
-
-// echoAssist reports whether this phase shape deserves recording even
-// though the budget gate refused detection: either a history record of
-// the shape already exists (echo can confirm the repeat) or the same
-// shape was refused before (so the stream is sweeping repeatedly and
-// recording now pays off one sweep later).
-func (s *Steady) echoAssist() bool {
-	for i := range s.hist {
-		r := &s.hist[i]
-		if r.valid && r.delta == s.delta && r.planes == s.planes && r.level == s.level {
-			return true
-		}
-	}
-	if s.refusedShapes == nil {
-		s.refusedShapes = make(map[[3]int64]uint8)
-	} else if len(s.refusedShapes) > 1024 {
-		clear(s.refusedShapes)
-	}
-	key := [3]int64{s.delta, int64(s.planes), int64(s.level)}
-	seen := s.refusedShapes[key]
-	if seen < 2 {
-		s.refusedShapes[key] = seen + 1
-	}
-	return seen > 0
 }
 
 // finishUnit archives the completed unit in the ring: the anchor its
@@ -699,8 +630,7 @@ func (s *Steady) finishUnit() {
 	s.recordUnit(a, e.delta)
 }
 
-// recordUnit appends one completed unit to the phase record and updates
-// which history records the phase still matches.
+// recordUnit appends one completed unit to the phase record.
 func (s *Steady) recordUnit(a int, delta []Stats) {
 	if !s.curRecOK {
 		return
@@ -713,25 +643,6 @@ func (s *Steady) recordUnit(a int, delta []Stats) {
 	d := make([]Stats, len(delta))
 	copy(d, delta)
 	s.curDeltas = append(s.curDeltas, d)
-	if len(s.hist) == 0 {
-		return
-	}
-	if !s.candInit {
-		s.candInit = true
-		if cap(s.candAlive) < len(s.hist) {
-			s.candAlive = make([]bool, len(s.hist))
-		}
-		s.candAlive = s.candAlive[:len(s.hist)]
-		for i := range s.hist {
-			r := &s.hist[i]
-			s.candAlive[i] = r.valid && r.delta == s.delta && r.planes == s.planes && r.level == s.level
-		}
-	}
-	for i := range s.candAlive {
-		if s.candAlive[i] && (s.unit >= len(s.hist[i].anchors) || s.hist[i].anchors[s.unit] != a) {
-			s.candAlive[i] = false
-		}
-	}
 }
 
 // matchAnchor returns the index of the anchor the current unit's
@@ -887,13 +798,13 @@ func (s *Steady) confirmCycle(T int) {
 	m := remaining / T
 	if m < 1 {
 		// Nothing left to skip; larger periods only shrink m, so stop
-		// paying for snapshots. Recording continues for cross-phase echo.
+		// paying for snapshots. A traced phase keeps recording.
 		s.aViable = false
 		return
 	}
-	// The confirm unit is also the best echo pin for this phase: a
-	// repeat sweep that matches it hands echo everything after this
-	// point, which is exactly what detection itself is about to skip.
+	// The confirm unit is also the best pin for this phase: a delta
+	// replay that matches it commits everything after this point, which
+	// is exactly what detection itself is about to skip.
 	s.forcePin()
 	cur, prev := s.snapAt(s.unit), s.snapAt(s.unit-T)
 	for i := range s.levels {
@@ -1005,8 +916,8 @@ func (s *Steady) skipMark(mk PlaneMark) {
 // periods are applied (stats + state translation), the verified but
 // uncommitted units are replayed from the ring, the current unit's
 // matched prefix is replayed, then the mismatching batch (if any).
-// Recording resumes mid-unit (the replayed prefix re-enters the pattern
-// buffer) so the phase record can still complete for cross-phase echo.
+// A traced phase resumes recording mid-unit (the replayed prefix
+// re-enters the pattern buffer) so its record can still complete.
 func (s *Steady) flush(pending []Run) {
 	if s.commits > 0 {
 		s.applySkip(s.commits)
@@ -1056,13 +967,13 @@ func (s *Steady) flush(pending []Run) {
 	}
 }
 
-// endPhase closes the current phase, archiving its record when it
-// covered every unit. Pin-less records are normally useless (echo needs
-// a pin to enter), but while delta-tracing they are kept anyway: the
-// delta replay path reproduces them from the anchors alone.
+// endPhase closes the current phase. While delta-tracing it archives the
+// phase's record when the record covered every unit; pin-less records
+// are kept too, since delta replay reproduces them from the anchors
+// alone.
 func (s *Steady) endPhase() {
 	s.mode = steadyIdle
-	if s.curRecOK && len(s.curAnchors) == s.planes && (len(s.curPins) > 0 || s.dl.tracing) {
+	if s.dl.tracing && s.curRecOK && len(s.curAnchors) == s.planes {
 		s.deltaNote(s.insertRecord())
 	}
 }
@@ -1201,10 +1112,10 @@ func (s *Steady) isPinUnit(u int) bool {
 }
 
 // capturePin records an order-normalized state pin at selected units.
-// Pins are how cross-phase echo recognises a phase it has seen before:
-// the earlier a pin matches, the more of the phase echo can skip, so
-// every recorded phase pins — including plane-cycle-viable ones, whose
-// pins let echo beat detection's warm-up on repeat sweeps.
+// Pins are where delta replay recognises that the rest of a phase is
+// known: the earlier a pin matches, the more of the phase it commits
+// without replay, so every recorded phase pins — including
+// plane-cycle-viable ones, whose pins beat detection's warm-up.
 func (s *Steady) capturePin() {
 	if !s.curRecOK || !s.isPinUnit(s.unit) {
 		return
@@ -1213,7 +1124,8 @@ func (s *Steady) capturePin() {
 }
 
 // forcePin captures a pin at the current unit unconditionally (dedup on
-// unit index).
+// unit index). Pins belong to the phase record, so outside a trace
+// (curRecOK is never set then) there is nothing to pin.
 func (s *Steady) forcePin() {
 	if !s.curRecOK || !s.pinsOK || s.unit > s.planes-2 {
 		return
@@ -1256,156 +1168,6 @@ func (s *Steady) encodeCurrent() {
 		s.encScratch[li] = s.encScratch[li][:len(c.tags)]
 		s.encodeLevel(c, 0, s.encScratch[li], 0)
 	}
-}
-
-// tryEcho checks whether any still-alive history record has a pin at the
-// current unit that equals the live state; if so the rest of the phase
-// is an exact repeat and the engine enters echo mode.
-func (s *Steady) tryEcho() bool {
-	if !s.candInit || !s.curRecOK || s.unit >= s.planes-1 {
-		return false
-	}
-	encoded := false
-	for i := range s.candAlive {
-		if !s.candAlive[i] {
-			continue
-		}
-		r := &s.hist[i]
-		var pin *steadyPin
-		for p := range r.pins {
-			if r.pins[p].unit == s.unit {
-				pin = &r.pins[p]
-				break
-			}
-		}
-		if pin == nil {
-			continue
-		}
-		if !encoded {
-			s.encodeCurrent()
-			encoded = true
-		}
-		if !encEq(s.encScratch, pin.data) {
-			continue
-		}
-		s.enterEcho(i)
-		return true
-	}
-	return false
-}
-
-// enterEcho switches to echo mode against history record i: the summed
-// recorded deltas of the remaining units become the pending stats and
-// every remaining batch is verified against the record.
-func (s *Steady) enterEcho(i int) {
-	r := &s.hist[i]
-	if cap(s.echoPend) < len(s.levels) {
-		s.echoPend = make([]Stats, len(s.levels))
-	}
-	s.echoPend = s.echoPend[:len(s.levels)]
-	for li := range s.echoPend {
-		s.echoPend[li] = Stats{}
-	}
-	for u := s.unit + 1; u < s.planes; u++ {
-		for li, d := range r.deltas[u] {
-			s.echoPend[li] = addStats(s.echoPend[li], d)
-		}
-	}
-	s.echoRec = i
-	s.echoFrom = s.unit
-	s.cursor = 0
-	s.recording = false
-	s.curRecOK = false
-	s.curPat = s.curPat[:0]
-	s.mode = steadyEcho
-	s.histSeq++
-	r.seq = s.histSeq
-}
-
-func (s *Steady) echoRef(unit int) ([]Run, int64) {
-	r := &s.hist[s.echoRec]
-	a := &s.anchors[r.anchors[unit]]
-	return a.runs, int64(unit-a.unit) * s.delta
-}
-
-func (s *Steady) echoVerify(runs []Run) {
-	ref, off := s.echoRef(s.unit)
-	if s.cursor+len(runs) > len(ref) {
-		s.echoFlush(runs)
-		return
-	}
-	want := ref[s.cursor : s.cursor+len(runs)]
-	for i := range runs {
-		x, y := runs[i], want[i]
-		if x.Base != y.Base+off || x.Stride != y.Stride || x.Count != y.Count ||
-			x.Store != y.Store || x.Cont != y.Cont {
-			s.echoFlush(runs)
-			return
-		}
-	}
-	s.cursor += len(runs)
-}
-
-func (s *Steady) echoMark(mk PlaneMark) {
-	bad := mk.Index != s.unit || mk.Delta != s.delta || mk.Planes != s.planes || mk.Level != s.level
-	if !bad {
-		ref, _ := s.echoRef(s.unit)
-		bad = s.cursor != len(ref)
-	}
-	if bad {
-		s.echoFlush(nil)
-		if mk.Index >= mk.Planes-1 {
-			s.mode = steadyIdle
-		}
-		return
-	}
-	s.cursor = 0
-	if mk.Index >= s.planes-1 {
-		s.echoCommit()
-		s.mode = steadyIdle
-		return
-	}
-	s.unit++
-}
-
-// echoCommit completes an echoed phase: the remaining units' stats are
-// the recorded deltas, and the final state is the recorded phase's end
-// state (the echoed phase repeats its stream from the matched pin on).
-func (s *Steady) echoCommit() {
-	r := &s.hist[s.echoRec]
-	for i, c := range s.levels {
-		c.stats = addStats(c.stats, s.echoPend[i])
-		copy(c.tags, r.endTags[i])
-		copy(c.dirty, r.endDirty[i])
-		if c.stamp != nil {
-			copy(c.stamp, r.endStamp[i])
-		}
-	}
-	s.skipped += uint64(s.planes - 1 - s.echoFrom)
-	s.echoes++
-	// An echoed phase is an exact repeat of the record, so the trace
-	// references the echoed slot as this phase's reproduction.
-	s.deltaNote(s.echoRec)
-}
-
-// echoFlush abandons an in-progress echo exactly: nothing was committed,
-// so the skipped units replay from the record's anchors, then the
-// current unit's verified prefix and the pending batch, and the engine
-// goes live.
-func (s *Steady) echoFlush(pending []Run) {
-	for u := s.echoFrom + 1; u < s.unit; u++ {
-		ref, off := s.echoRef(u)
-		s.replayShifted(ref, off)
-	}
-	if s.cursor > 0 {
-		ref, off := s.echoRef(s.unit)
-		s.replayShifted(ref[:s.cursor], off)
-	}
-	s.cursor = 0
-	if len(pending) > 0 {
-		s.replay(pending)
-	}
-	s.mode = steadyLive
 }
 
 func encEq(a, b [][]int64) bool {

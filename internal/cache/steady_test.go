@@ -46,8 +46,8 @@ func steadyMatchesRaw(t *testing.T, cfg Config, stream func(sink RunSink, c *Cac
 }
 
 // refusedSweep emits one synthetic "sweep": two 2-plane phases over
-// disjoint regions. planes=2 phases are categorically refused by the
-// engine (two units cannot carry a pin), so every repeat replays.
+// disjoint regions. Two units are too few for plane-cycle detection, so
+// the engine refuses both phases and every repeat replays.
 func refusedSweep(sink RunSink) {
 	emitPhase(sink, 2, 32, func(i int) []Run {
 		return readUnit(int64(i)*32, 8, 4)
@@ -57,11 +57,11 @@ func refusedSweep(sink RunSink) {
 	})
 }
 
-// TestSweepEchoRefusedPhases drives repeated identical sweeps of
+// TestSteadyRefusedPhasesRepeated drives repeated identical sweeps of
 // refused phases and checks that statistics and final state stay
 // exactly equal to a raw replay. The schedule mirrors the bench harness:
 // one warm-up sweep, a stats reset, then measured sweeps.
-func TestSweepEchoRefusedPhases(t *testing.T) {
+func TestSteadyRefusedPhasesRepeated(t *testing.T) {
 	const sweeps = 6
 	steadyMatchesRaw(t, Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1}, func(sink RunSink, c *Cache) { // 32 sets
 		refusedSweep(sink)

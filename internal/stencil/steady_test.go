@@ -29,7 +29,7 @@ func steadyCompare(t *testing.T, label string, w *stencil.Workload, sweeps int, 
 }
 
 // steadyCompareTuned is steadyCompare with a hook to configure the
-// steady engine (gate, footprints, sweep echo) before replay; a nil
+// steady engine (its detection gate) before replay; a nil
 // tune leaves the production defaults in place.
 func steadyCompareTuned(t *testing.T, label string, w *stencil.Workload, sweeps int, tune func(*cache.Steady), cfgs ...cache.Config) uint64 {
 	t.Helper()
@@ -187,8 +187,8 @@ func TestSteadyRandomGeometry(t *testing.T) {
 		}
 		w := stencil.NewTraceWorkload(k, n, depth, plan)
 		steadyCompare(t, k.String()+"/random", w, 2, cfgs...)
-		// Same geometry under the production gate (default budget,
-		// footprint rescue, sweep echo): must also be exact.
+		// Same geometry under the production (default budget) gate:
+		// must also be exact.
 		steadyCompareTuned(t, k.String()+"/random-prod", w, 2, nil, cfgs...)
 	}
 }
@@ -239,10 +239,8 @@ func TestSteadyTLBDifferential(t *testing.T) {
 			t.Errorf("%s: expected the steady engine to skip planes", tc.name)
 		}
 		if !tc.wantS && st.Cycles() != 0 {
-			// Plane-cycle detection must refuse the unalignable stride;
-			// cross-phase echo may still skip repeated sweeps (it needs
-			// no translation alignment), which the stats comparison
-			// above proves exact.
+			// Plane-cycle detection must refuse the unalignable stride,
+			// so the steady path replays every sweep in full.
 			t.Errorf("%s: expected plane-cycle detection to be refused, confirmed %d cycles", tc.name, st.Cycles())
 		}
 		if !mems[0].TLB.StateEqual(mems[2].TLB) {
